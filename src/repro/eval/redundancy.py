@@ -48,22 +48,31 @@ def relu_relevance(model: Module, dataset: ArrayDataset, batch_size: int = 64) -
     if not relus:
         return float("nan")
     final_relu = relus[-1]
-    total_nonzero = 0
-    total_count = 0
+    relu_forward = final_relu.forward
+    counts = [0, 0]  # non-zero outputs, all outputs
+
+    def counting_forward(x: np.ndarray) -> np.ndarray:
+        out = relu_forward(x)
+        counts[0] += int(np.count_nonzero(out))
+        counts[1] += int(out.size)
+        return out
+
+    # Count the last ReLU's *output* (eval forwards keep no mask) by
+    # shadowing that one instance's forward for the duration of the call.
     was_training = model.training
     model.eval()
-    for start in range(0, len(dataset), batch_size):
-        index = np.arange(start, min(start + batch_size, len(dataset)))
-        inputs, _ = dataset[index]
-        model(inputs)
-        mask = final_relu._mask
-        if mask is not None:
-            total_nonzero += int(mask.sum())
-            total_count += int(mask.size)
-    model.train(was_training)
-    if total_count == 0:
+    final_relu.forward = counting_forward
+    try:
+        for start in range(0, len(dataset), batch_size):
+            index = np.arange(start, min(start + batch_size, len(dataset)))
+            inputs, _ = dataset[index]
+            model(inputs)
+    finally:
+        del final_relu.forward
+        model.train(was_training)
+    if counts[1] == 0:
         return float("nan")
-    return total_nonzero / total_count
+    return counts[0] / counts[1]
 
 
 def relative_absolute_error(

@@ -7,6 +7,7 @@ from typing import Optional
 import numpy as np
 
 from repro.nn.module import Module
+from repro.utils.markers import hot_path
 
 __all__ = ["ReLU", "LeakyReLU", "Sigmoid", "Tanh", "Identity"]
 
@@ -18,10 +19,16 @@ class ReLU(Module):
         super().__init__()
         self._mask: Optional[np.ndarray] = None
 
+    @hot_path
     def forward(self, x: np.ndarray) -> np.ndarray:
         x = np.asarray(x, dtype=np.float64)
-        self._mask = x > 0
-        return np.where(self._mask, x, 0.0)
+        self._mask = x > 0 if self.training else None
+        # ``fmax`` maps negatives and NaN to 0.0; adding +0.0 turns the -0.0
+        # it may keep for ``x == -0.0`` into +0.0.  The result equals
+        # ``np.where(x > 0, x, 0.0)`` bit for bit, several times faster.
+        out = np.fmax(x, 0.0)
+        out += 0.0
+        return out
 
     def backward(self, grad_output: np.ndarray) -> np.ndarray:
         if self._mask is None:
@@ -39,8 +46,9 @@ class LeakyReLU(Module):
 
     def forward(self, x: np.ndarray) -> np.ndarray:
         x = np.asarray(x, dtype=np.float64)
-        self._mask = x > 0
-        return np.where(self._mask, x, self.negative_slope * x)
+        mask = x > 0
+        self._mask = mask if self.training else None
+        return np.where(mask, x, self.negative_slope * x)
 
     def backward(self, grad_output: np.ndarray) -> np.ndarray:
         if self._mask is None:
@@ -59,7 +67,7 @@ class Sigmoid(Module):
     def forward(self, x: np.ndarray) -> np.ndarray:
         x = np.asarray(x, dtype=np.float64)
         out = 1.0 / (1.0 + np.exp(-x))
-        self._output = out
+        self._output = out if self.training else None
         return out
 
     def backward(self, grad_output: np.ndarray) -> np.ndarray:
@@ -78,7 +86,7 @@ class Tanh(Module):
 
     def forward(self, x: np.ndarray) -> np.ndarray:
         out = np.tanh(np.asarray(x, dtype=np.float64))
-        self._output = out
+        self._output = out if self.training else None
         return out
 
     def backward(self, grad_output: np.ndarray) -> np.ndarray:

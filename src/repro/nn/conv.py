@@ -5,26 +5,44 @@ convolution becomes a single matrix multiplication — the standard vectorized
 NumPy formulation.  ``im2col`` / ``col2im`` are exposed as module-level
 functions so pooling layers and tests can reuse them.
 
-Two hot-path choices are configurable for validation and benchmarking:
+``im2col`` has one implementation, checked against a per-offset slice-loop
+oracle in the tests.  It zero-pads the input into a reusable buffer, builds
+the window view of that buffer with ``np.lib.stride_tricks.as_strided`` and
+materializes the columns with a single ``np.copyto``.
 
-* ``im2col`` builds its window view with ``np.lib.stride_tricks.as_strided``
-  (one gather copy) by default; ``method="loop"`` keeps the original
-  per-kernel-offset slice loop as the reference implementation.
-* The three tensor contractions of ``Conv2d.forward``/``backward`` run as
-  reshaped ``np.matmul`` calls that dispatch to BLAS by default;
-  :func:`set_conv_contraction` switches back to the original ``np.einsum``
-  reference.  Both are validated against each other in the test suite.
+Reusable buffers come from a per-thread scratch arena in this module,
+:func:`scratch_buffer`, which ``GroupNorm`` also uses for its squared
+deviations.  Nothing is stored on module instances, so models pickle the
+same before and after a forward.  A buffer stays valid only until the next
+request for the same slot on the same thread, and each slot grows to the
+largest request seen.  ``Conv2d.forward`` is one code path in both modes;
+only where ``cols`` lives differs:
+
+* in training mode ``cols`` is a fresh array, because ``backward`` caches it;
+* in evaluation mode ``cols`` also comes from the arena and the layer keeps
+  no backward state, so an eval forward allocates no column buffer.
+
+Both modes give bit-identical outputs: the columns are the same copies and
+the GEMM sees the same contiguous operands.
+
+The three tensor contractions of ``Conv2d.forward``/``backward`` run as
+reshaped ``np.matmul`` calls that dispatch to BLAS by default;
+:func:`set_conv_contraction` switches back to the original ``np.einsum``
+reference.  Both are validated against each other in the test suite.
 """
 
 from __future__ import annotations
 
+import math
+import threading
 from contextlib import contextmanager
-from typing import Iterator, Optional, Tuple
+from typing import Dict, Iterator, Optional, Tuple
 
 import numpy as np
 
 from repro.nn import init
 from repro.nn.module import Module, Parameter
+from repro.utils.markers import hot_path
 
 __all__ = [
     "Conv2d",
@@ -35,18 +53,23 @@ __all__ = [
     "get_conv_contraction",
     "conv_contraction",
     "CONTRACTIONS",
-    "IM2COL_METHODS",
 ]
 
 #: Contraction engines for Conv2d: BLAS-dispatched matmul vs. the einsum
 #: reference.  Results agree to floating-point reduction order.
 CONTRACTIONS = ("matmul", "einsum")
 
-#: Window-unrolling strategies for im2col: a strided gather vs. the
-#: per-kernel-offset slice loop reference.  Results are bit-identical.
-IM2COL_METHODS = ("strided", "loop")
-
 _contraction = "matmul"
+
+
+class _Arena(threading.local):
+    """Per-thread reusable buffers keyed by ``(slot, dtype)`` (see :func:`scratch_buffer`)."""
+
+    def __init__(self) -> None:
+        self.buffers: Dict[Tuple[str, str], np.ndarray] = {}
+
+
+_arena = _Arena()
 
 
 def set_conv_contraction(mode: str) -> str:
@@ -79,13 +102,58 @@ def conv_output_size(size: int, kernel: int, stride: int, padding: int) -> int:
     return (size + 2 * padding - kernel) // stride + 1
 
 
+def _output_hw(
+    shape: Tuple[int, ...], kernel_h: int, kernel_w: int, stride: int, padding: int
+) -> Tuple[int, int]:
+    """Spatial output size of a convolution over an ``(N, C, H, W)`` input."""
+    out_h = conv_output_size(shape[2], kernel_h, stride, padding)
+    out_w = conv_output_size(shape[3], kernel_w, stride, padding)
+    if out_h <= 0 or out_w <= 0:
+        raise ValueError(
+            f"im2col produced non-positive output size for input {shape} "
+            f"with kernel ({kernel_h},{kernel_w}), stride {stride}, padding {padding}"
+        )
+    return out_h, out_w
+
+
+def scratch_buffer(slot: str, shape: Tuple[int, ...], dtype: np.dtype) -> np.ndarray:
+    """A C-contiguous ``shape`` view of this thread's reusable ``slot`` buffer.
+
+    For temporaries inside ``repro.nn`` forwards that nothing outlives: the
+    view is overwritten by the next request for ``slot`` on this thread.
+    The buffer grows to the largest request seen and is then reused at any
+    smaller size, so its memory is bounded by the largest layer.
+    """
+    key = (slot, np.dtype(dtype).str)
+    size = math.prod(shape)
+    buffer = _arena.buffers.get(key)
+    if buffer is None or buffer.size < size:
+        buffer = _arena.buffers[key] = np.empty(size, dtype=dtype)
+    return buffer[:size].reshape(shape)
+
+
+def _pad(x: np.ndarray, padding: int) -> np.ndarray:
+    """Zero-pad ``x`` spatially into this thread's reusable ``"pad"`` buffer."""
+    if padding == 0:
+        return x
+    n, c, h, w = x.shape
+    p = padding
+    padded = scratch_buffer("pad", (n, c, h + 2 * p, w + 2 * p), x.dtype)
+    padded[:, :, :p, :] = 0.0
+    padded[:, :, -p:, :] = 0.0
+    padded[:, :, p:-p, :p] = 0.0
+    padded[:, :, p:-p, -p:] = 0.0
+    padded[:, :, p:-p, p:-p] = x
+    return padded
+
+
 def im2col(
     x: np.ndarray,
     kernel_h: int,
     kernel_w: int,
     stride: int,
     padding: int,
-    method: str = "strided",
+    out: Optional[np.ndarray] = None,
 ) -> Tuple[np.ndarray, int, int]:
     """Unroll sliding windows of ``x`` into columns.
 
@@ -93,12 +161,9 @@ def im2col(
     ----------
     x:
         Input of shape ``(N, C, H, W)``.
-    method:
-        ``"strided"`` (default) builds a zero-copy ``as_strided`` window view
-        of the padded input and materializes it with one reshape/gather;
-        ``"loop"`` fills the window tensor with one strided slice copy per
-        kernel offset (the reference implementation).  Both produce
-        bit-identical columns.
+    out:
+        Optional C-contiguous destination of the columns' shape.  Without
+        it the columns are a fresh array the caller owns.
 
     Returns
     -------
@@ -107,42 +172,23 @@ def im2col(
     out_h, out_w:
         Spatial output size.
     """
-    if method not in IM2COL_METHODS:
-        raise ValueError(f"unknown im2col method {method!r}; choose from {IM2COL_METHODS}")
-    n, c, h, w = x.shape
-    out_h = conv_output_size(h, kernel_h, stride, padding)
-    out_w = conv_output_size(w, kernel_w, stride, padding)
-    if out_h <= 0 or out_w <= 0:
-        raise ValueError(
-            f"im2col produced non-positive output size for input {x.shape} "
-            f"with kernel ({kernel_h},{kernel_w}), stride {stride}, padding {padding}"
-        )
-    x_padded = np.pad(
-        x, ((0, 0), (0, 0), (padding, padding), (padding, padding)), mode="constant"
+    n, c = x.shape[:2]
+    out_h, out_w = _output_hw(x.shape, kernel_h, kernel_w, stride, padding)
+    shape = (n, c * kernel_h * kernel_w, out_h * out_w)
+    if out is None:
+        out = np.empty(shape, dtype=x.dtype)
+    elif out.shape != shape or not out.flags.c_contiguous:
+        raise ValueError(f"im2col out= must be C-contiguous with shape {shape}, got {out.shape}")
+    x_padded = _pad(x, padding)
+    sn, sc, sh, sw = x_padded.strides
+    windows = np.lib.stride_tricks.as_strided(
+        x_padded,
+        shape=(n, c, kernel_h, kernel_w, out_h, out_w),
+        strides=(sn, sc, sh, sw, stride * sh, stride * sw),
+        writeable=False,
     )
-    if method == "strided":
-        sn, sc, sh, sw = x_padded.strides
-        windows = np.lib.stride_tricks.as_strided(
-            x_padded,
-            shape=(n, c, kernel_h, kernel_w, out_h, out_w),
-            strides=(sn, sc, sh, sw, stride * sh, stride * sw),
-            writeable=False,
-        )
-        cols = windows.reshape(n, c * kernel_h * kernel_w, out_h * out_w)
-        if cols.base is not None:
-            # For overlapping windows the reshape gathers into a fresh array;
-            # for the degenerate 1x1 stride-1 case it stays a (read-only)
-            # view of the padded input, so materialize the ownership the
-            # contract promises.
-            cols = cols.copy()
-        return cols, out_h, out_w
-    cols = np.empty((n, c, kernel_h, kernel_w, out_h, out_w), dtype=x.dtype)
-    for i in range(kernel_h):
-        i_max = i + stride * out_h
-        for j in range(kernel_w):
-            j_max = j + stride * out_w
-            cols[:, :, i, j, :, :] = x_padded[:, :, i:i_max:stride, j:j_max:stride]
-    return cols.reshape(n, c * kernel_h * kernel_w, out_h * out_w), out_h, out_w
+    np.copyto(out.reshape(n, c, kernel_h, kernel_w, out_h, out_w), windows)
+    return out, out_h, out_w
 
 
 def col2im(
@@ -210,16 +256,22 @@ class Conv2d(Module):
             self.bias = Parameter(init.zeros((out_channels,)))
         self._cache: Optional[Tuple[np.ndarray, Tuple[int, int, int, int]]] = None
 
+    @hot_path
     def forward(self, x: np.ndarray) -> np.ndarray:
         x = np.asarray(x, dtype=np.float64)
         if x.ndim != 4 or x.shape[1] != self.in_channels:
             raise ValueError(
                 f"Conv2d expected input (N, {self.in_channels}, H, W), got {x.shape}"
             )
-        cols, out_h, out_w = im2col(
-            x, self.kernel_size, self.kernel_size, self.stride, self.padding
-        )
         n = x.shape[0]
+        k = self.kernel_size
+        # Backward caches the columns, so only eval may take them from the arena.
+        cols_out = None
+        if not self.training:
+            out_h, out_w = _output_hw(x.shape, k, k, self.stride, self.padding)
+            cols_shape = (n, self.in_channels * k * k, out_h * out_w)
+            cols_out = scratch_buffer("cols", cols_shape, x.dtype)
+        cols, out_h, out_w = im2col(x, k, k, self.stride, self.padding, out=cols_out)
         weight_mat = self.weight.data.reshape(self.out_channels, -1)
         if _contraction == "matmul":
             # (O, K) @ (N, K, P) broadcasts to a batched BLAS gemm -> (N, O, P).
@@ -227,8 +279,8 @@ class Conv2d(Module):
         else:
             out = np.einsum("ok,nkp->nop", weight_mat, cols)
         if self.has_bias:
-            out = out + self.bias.data[None, :, None]
-        self._cache = (cols, x.shape)
+            out += self.bias.data[None, :, None]
+        self._cache = (cols, x.shape) if self.training else None
         return out.reshape(n, self.out_channels, out_h, out_w)
 
     def backward(self, grad_output: np.ndarray) -> np.ndarray:

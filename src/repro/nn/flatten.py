@@ -20,7 +20,7 @@ class Flatten(Module):
 
     def forward(self, x: np.ndarray) -> np.ndarray:
         x = np.asarray(x, dtype=np.float64)
-        self._input_shape = x.shape
+        self._input_shape = x.shape if self.training else None
         return x.reshape(x.shape[0], -1)
 
     def backward(self, grad_output: np.ndarray) -> np.ndarray:

@@ -47,7 +47,7 @@ class Linear(Module):
             raise ValueError(
                 f"Linear expected input of shape (N, {self.in_features}), got {x.shape}"
             )
-        self._cache_input = x
+        self._cache_input = x if self.training else None
         out = x @ self.weight.data
         if self.has_bias:
             out = out + self.bias.data

@@ -6,8 +6,13 @@ and sub-module registration, training/evaluation mode, ``state_dict``
 round-trips, and defines the layer-based ``forward``/``backward`` contract
 used throughout the library:
 
-* ``forward(x)`` computes the layer output and caches whatever the backward
-  pass needs.
+* ``forward(x)`` computes the layer output.  Only in training mode does it
+  cache whatever the backward pass needs; in evaluation mode
+  (``training is False``) layers keep no backward state, so ``backward``
+  after an eval forward raises ``RuntimeError``.  ``BatchNorm2d`` is the one
+  exception: it keeps its cache in eval so gradients through the running
+  statistics stay available.  The eval forward is bit-identical to the
+  training forward.
 * ``backward(grad_output)`` accumulates parameter gradients (into
   ``Parameter.grad``) and returns the gradient with respect to the input.
 

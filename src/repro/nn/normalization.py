@@ -19,7 +19,9 @@ from typing import Dict, Optional, Tuple
 
 import numpy as np
 
+from repro.nn.conv import scratch_buffer
 from repro.nn.module import Module, Parameter
+from repro.utils.markers import hot_path
 
 __all__ = ["GroupNorm", "BatchNorm2d"]
 
@@ -74,23 +76,31 @@ class GroupNorm(Module):
             return 1.0 + self.scale.data
         return self.scale.data
 
+    @hot_path
     def forward(self, x: np.ndarray) -> np.ndarray:
         x = np.asarray(x, dtype=np.float64)
         n, c, h, w = x.shape
         if c != self.num_channels:
             raise ValueError(f"expected {self.num_channels} channels, got {c}")
-        g = self.num_groups
-        grouped = x.reshape(n, g, -1)
+        grouped = x.reshape(n, self.num_groups, -1)
+        # One pass over the centred values: the mean, then the variance from
+        # the same operations ``np.var`` runs, so results stay bit-identical.
         mean = grouped.mean(axis=2, keepdims=True)
-        var = grouped.var(axis=2, keepdims=True)
+        d = grouped - mean
+        squares = np.multiply(d, d, out=scratch_buffer("squares", d.shape, d.dtype))
+        var = np.add.reduce(squares, axis=2, keepdims=True) / grouped.shape[2]
         inv_std = 1.0 / np.sqrt(var + self.eps)
-        x_hat = ((grouped - mean) * inv_std).reshape(n, c, h, w)
-        self._cache = (x_hat, inv_std, x.shape)
+        x_hat = np.multiply(d, inv_std, out=d).reshape(n, c, h, w)
+        self._cache = (x_hat, inv_std, x.shape) if self.training else None
         if not self.affine:
             return x_hat
         gamma = self.effective_scale()[None, :, None, None]
         beta = self.bias.data[None, :, None, None]
-        return gamma * x_hat + beta
+        if self.training:
+            return gamma * x_hat + beta
+        # Nothing caches ``x_hat`` in eval, so the affine map runs in place.
+        np.multiply(x_hat, gamma, out=x_hat)
+        return np.add(x_hat, beta, out=x_hat)
 
     def backward(self, grad_output: np.ndarray) -> np.ndarray:
         if self._cache is None:

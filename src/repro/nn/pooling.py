@@ -7,6 +7,7 @@ from typing import Optional, Tuple
 import numpy as np
 
 from repro.nn.module import Module
+from repro.utils.markers import hot_path
 
 __all__ = ["MaxPool2d", "AvgPool2d", "GlobalAvgPool2d"]
 
@@ -19,24 +20,52 @@ def _check_divisible(h: int, w: int, kernel: int) -> None:
         )
 
 
+def _pool_windows(x: np.ndarray, k: int) -> Tuple[np.ndarray, np.ndarray]:
+    """Max over each ``k x k`` window and its flat in-window argmax."""
+    n, c, h, w = x.shape
+    reshaped = x.reshape(n, c, h // k, k, w // k, k)
+    windows = reshaped.transpose(0, 1, 2, 4, 3, 5).reshape(n, c, h // k, w // k, k * k)
+    argmax = windows.argmax(axis=-1)
+    return np.take_along_axis(windows, argmax[..., None], axis=-1)[..., 0], argmax
+
+
 class MaxPool2d(Module):
-    """Non-overlapping max pooling (``stride == kernel_size``)."""
+    """Non-overlapping max pooling (``stride == kernel_size``).
+
+    Training caches the in-window argmax for backward.  Evaluation keeps no
+    state and takes a running ``np.maximum`` over the ``k * k`` strided
+    window offsets in argmax order, which picks the same element: on ties
+    (including ``-0.0``/``+0.0``) ``np.maximum`` returns its second operand,
+    the running maximum, so the first maximum wins as with ``argmax`` (the
+    parity tests pin this for SIMD bodies and scalar tails alike).  A
+    window holding several NaNs must yield the first of them, which
+    ``np.maximum`` does not promise, so an output with a NaN is recomputed
+    through the argmax.
+    """
 
     def __init__(self, kernel_size: int = 2):
         super().__init__()
         self.kernel_size = kernel_size
         self._cache: Optional[Tuple[np.ndarray, Tuple[int, ...]]] = None
 
+    @hot_path
     def forward(self, x: np.ndarray) -> np.ndarray:
         x = np.asarray(x, dtype=np.float64)
         n, c, h, w = x.shape
         k = self.kernel_size
         _check_divisible(h, w, k)
-        reshaped = x.reshape(n, c, h // k, k, w // k, k)
-        windows = reshaped.transpose(0, 1, 2, 4, 3, 5).reshape(n, c, h // k, w // k, k * k)
-        argmax = windows.argmax(axis=-1)
-        out = np.take_along_axis(windows, argmax[..., None], axis=-1)[..., 0]
-        self._cache = (argmax, x.shape)
+        if self.training:
+            out, argmax = _pool_windows(x, k)
+            self._cache = (argmax, x.shape)
+            return out
+        self._cache = None
+        offsets = x.reshape(n, c, h // k, k, w // k, k)
+        out = offsets[:, :, :, 0, :, 0].copy()
+        for offset in range(1, k * k):
+            i, j = divmod(offset, k)
+            np.maximum(offsets[:, :, :, i, :, j], out, out=out)
+        if np.isnan(out).any():
+            return _pool_windows(x, k)[0]
         return out
 
     def backward(self, grad_output: np.ndarray) -> np.ndarray:
@@ -67,7 +96,7 @@ class AvgPool2d(Module):
         n, c, h, w = x.shape
         k = self.kernel_size
         _check_divisible(h, w, k)
-        self._input_shape = x.shape
+        self._input_shape = x.shape if self.training else None
         return x.reshape(n, c, h // k, k, w // k, k).mean(axis=(3, 5))
 
     def backward(self, grad_output: np.ndarray) -> np.ndarray:
@@ -89,7 +118,7 @@ class GlobalAvgPool2d(Module):
 
     def forward(self, x: np.ndarray) -> np.ndarray:
         x = np.asarray(x, dtype=np.float64)
-        self._input_shape = x.shape
+        self._input_shape = x.shape if self.training else None
         return x.mean(axis=(2, 3), keepdims=True)
 
     def backward(self, grad_output: np.ndarray) -> np.ndarray:

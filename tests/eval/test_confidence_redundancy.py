@@ -70,7 +70,17 @@ def test_relu_relevance_fraction(trained, blob_data):
     _, test = blob_data
     model, _ = trained
     fraction = relu_relevance(model, test)
-    assert 0.0 <= fraction <= 1.0
+    # Hand count: the MLP's only ReLU follows its first Linear layer, and a
+    # ReLU output is non-zero exactly where its input is positive.
+    first = model.body[0]
+    positive = 0
+    for start in range(0, len(test), 64):
+        inputs, _ = test[np.arange(start, min(start + 64, len(test)))]
+        positive += int(((inputs @ first.weight.data + first.bias.data) > 0).sum())
+    assert fraction == positive / (len(test) * first.out_features)
+    assert 0.0 < fraction < 1.0
+    assert model.training  # mode restored
+    assert "forward" not in vars(model.body[1])  # no instance state left behind
 
 
 def test_relative_absolute_error_positive(trained):

@@ -27,6 +27,21 @@ def naive_conv2d(x, weight, bias, stride, padding):
     return out
 
 
+def loop_im2col(x, kernel_h, kernel_w, stride, padding):
+    """Reference im2col: one strided slice copy per kernel offset."""
+    n, c, h, w = x.shape
+    out_h = conv_output_size(h, kernel_h, stride, padding)
+    out_w = conv_output_size(w, kernel_w, stride, padding)
+    x_padded = np.pad(x, ((0, 0), (0, 0), (padding, padding), (padding, padding)))
+    cols = np.empty((n, c, kernel_h, kernel_w, out_h, out_w), dtype=x.dtype)
+    for i in range(kernel_h):
+        i_max = i + stride * out_h
+        for j in range(kernel_w):
+            j_max = j + stride * out_w
+            cols[:, :, i, j, :, :] = x_padded[:, :, i:i_max:stride, j:j_max:stride]
+    return cols.reshape(n, c * kernel_h * kernel_w, out_h * out_w), out_h, out_w
+
+
 def test_conv_output_size():
     assert conv_output_size(8, 3, 1, 1) == 8
     assert conv_output_size(8, 3, 2, 1) == 4
@@ -87,10 +102,25 @@ def test_conv_without_bias(rng):
 @pytest.mark.parametrize("stride,padding,kernel", [(1, 1, 3), (1, 0, 3), (2, 1, 3), (2, 0, 2), (3, 2, 5)])
 def test_im2col_strided_matches_loop_reference(rng, stride, padding, kernel):
     x = rng.normal(size=(2, 3, 9, 11))
-    strided, oh_s, ow_s = im2col(x, kernel, kernel, stride, padding, method="strided")
-    loop, oh_l, ow_l = im2col(x, kernel, kernel, stride, padding, method="loop")
+    strided, oh_s, ow_s = im2col(x, kernel, kernel, stride, padding)
+    loop, oh_l, ow_l = loop_im2col(x, kernel, kernel, stride, padding)
     assert (oh_s, ow_s) == (oh_l, ow_l)
-    np.testing.assert_array_equal(strided, loop)  # bit-identical
+    assert strided.tobytes() == loop.tobytes()  # bit-identical
+    # Reusing a padding buffer that held another input must not leak into
+    # the zero border.
+    im2col(rng.normal(size=(2, 3, 9, 11)) + 100.0, kernel, kernel, stride, padding)
+    again, _, _ = im2col(x, kernel, kernel, stride, padding)
+    assert again.tobytes() == loop.tobytes()
+
+
+def test_im2col_writes_into_out(rng):
+    x = rng.normal(size=(2, 3, 6, 6))
+    out = np.empty((2, 27, 36))
+    cols, _, _ = im2col(x, 3, 3, 1, 1, out=out)
+    assert cols is out
+    np.testing.assert_array_equal(out, loop_im2col(x, 3, 3, 1, 1)[0])
+    with pytest.raises(ValueError, match="out="):
+        im2col(x, 3, 3, 1, 1, out=np.empty((2, 27, 35)))
 
 
 def test_im2col_strided_result_owns_its_memory(rng):
@@ -99,11 +129,6 @@ def test_im2col_strided_result_owns_its_memory(rng):
     cols += 1.0  # must not touch the (padded copy of the) input
     again, _, _ = im2col(x, 3, 3, 1, 1)
     np.testing.assert_array_equal(again + 1.0, cols)
-
-
-def test_im2col_unknown_method_raises(rng):
-    with pytest.raises(ValueError, match="im2col method"):
-        im2col(rng.normal(size=(1, 1, 4, 4)), 3, 3, 1, 1, method="magic")
 
 
 def test_matmul_contraction_matches_einsum_reference(rng):
@@ -145,11 +170,12 @@ def test_im2col_strided_1x1_kernel_owns_its_memory(rng):
     # Degenerate 1x1 stride-1 windows reshape to a *view*; im2col must still
     # hand back writable, unaliased columns (ResNet 1x1 projection shortcuts).
     x = rng.normal(size=(2, 3, 5, 5))
-    cols, _, _ = im2col(x, 1, 1, 1, 0, method="strided")
-    assert cols.flags.writeable
-    loop, _, _ = im2col(x, 1, 1, 1, 0, method="loop")
+    original = x.copy()
+    cols, _, _ = im2col(x, 1, 1, 1, 0)
+    assert cols.flags.writeable and cols.base is None
+    loop, _, _ = loop_im2col(x, 1, 1, 1, 0)
     np.testing.assert_array_equal(cols, loop)
     cols += 1.0
-    np.testing.assert_array_equal(x, x)  # input untouched
-    again, _, _ = im2col(x, 1, 1, 1, 0, method="strided")
+    np.testing.assert_array_equal(x, original)  # input untouched
+    again, _, _ = im2col(x, 1, 1, 1, 0)
     np.testing.assert_array_equal(again + 1.0, cols)
