@@ -19,7 +19,6 @@ from dataclasses import dataclass
 from typing import Optional, Tuple
 
 import numpy as np
-from scipy import stats
 
 
 __all__ = [
@@ -69,6 +68,8 @@ def probability_multi_bit_error(p: float, config: SECDEDConfig = SECDEDConfig())
     """
     if not 0.0 <= p <= 1.0:
         raise ValueError("p must be in [0, 1]")
+    from scipy import stats  # deferred: keeps scipy off `import repro`
+
     n = config.total_bits
     # P(X >= 2) = 1 - P(0) - P(1) for X ~ Binomial(n, p).
     return float(1.0 - stats.binom.cdf(1, n, p))
@@ -84,6 +85,8 @@ def residual_bit_error_rate(p: float, config: SECDEDConfig = SECDEDConfig()) -> 
     """
     if not 0.0 <= p <= 1.0:
         raise ValueError("p must be in [0, 1]")
+    from scipy import stats  # deferred: keeps scipy off `import repro`
+
     n = config.total_bits
     ks = np.arange(0, n + 1)
     pmf = stats.binom.pmf(ks, n, p)

@@ -13,7 +13,8 @@ other change.  ``run``:
    directory's canonical store already answers;
 2. spawns local worker daemons (``python -m repro.cluster worker``) unless
    live workers are already attached to the directory or
-   ``spawn_workers=False``;
+   ``spawn_workers=False``, each with an equal share of the host's BLAS
+   threads (:func:`blas_thread_env`);
 3. polls: incrementally merges worker shards into the canonical store
    (idempotent, content keys dedupe), requeues expired leases so crashed
    workers' groups are retried, restarts dead local daemons within a
@@ -37,7 +38,7 @@ import subprocess
 import sys
 import tempfile
 import time
-from typing import Dict, Iterator, List, Optional, Sequence
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from repro import faults as faults_module
 from repro import telemetry
@@ -59,7 +60,13 @@ from repro.runtime.executors import GroupOutput, register_executor
 from repro.runtime.spec import EvalJob, SweepContext
 from repro.runtime.store import ResultStore
 
-__all__ = ["ClusterExecutor", "spawn_local_worker", "live_worker_ids"]
+__all__ = [
+    "BLAS_THREAD_VARS",
+    "ClusterExecutor",
+    "blas_thread_env",
+    "live_worker_ids",
+    "spawn_local_worker",
+]
 
 
 def live_worker_ids(run_dir: str, ttl: float) -> List[str]:
@@ -82,6 +89,30 @@ def live_worker_ids(run_dir: str, ttl: float) -> List[str]:
         except OSError:
             continue
     return sorted(live)
+
+
+#: The BLAS and OpenMP thread-count variables :func:`blas_thread_env` splits.
+BLAS_THREAD_VARS = (
+    "OPENBLAS_NUM_THREADS",
+    "OMP_NUM_THREADS",
+    "MKL_NUM_THREADS",
+    "BLIS_NUM_THREADS",
+)
+
+
+def blas_thread_env(count: int) -> Dict[str, str]:
+    """The thread environment for ``count`` local daemons sharing this host.
+
+    Each daemon would otherwise start a BLAS pool as wide as the host, so
+    ``count`` of them oversubscribe the cores.  Instead every variable in
+    :data:`BLAS_THREAD_VARS` is set to the daemons' share of the CPUs (at
+    least 1).  If this process's environment already sets any of them, the
+    user's choice wins: nothing is returned and the daemons inherit it.
+    """
+    if any(name in os.environ for name in BLAS_THREAD_VARS):
+        return {}
+    share = str(max(1, (os.cpu_count() or 1) // count))
+    return {name: share for name in BLAS_THREAD_VARS}
 
 
 def spawn_local_worker(
@@ -294,9 +325,13 @@ class ClusterExecutor:
                 backend=self.queue_backend,
             )
             guard = MergeGuard(run_dir, queue=queue)
-            procs = self._maybe_spawn(run_dir, len(outstanding))
+            procs, thread_env = self._maybe_spawn(run_dir, len(outstanding))
             if procs:
-                rec.event("cluster.spawn", workers=len(procs), run_dir=run_dir)
+                share = thread_env.get(BLAS_THREAD_VARS[0])
+                rec.event(
+                    "cluster.spawn", workers=len(procs), run_dir=run_dir,
+                    blas_threads=int(share) if share else "inherited",
+                )
             spawn_failed = (
                 self.spawn_workers
                 and not procs
@@ -356,7 +391,7 @@ class ClusterExecutor:
                 if not outstanding:
                     return
                 procs, restarts_left = self._babysit(
-                    run_dir, procs, restarts_left, queue
+                    run_dir, procs, restarts_left, queue, thread_env
                 )
                 if spawn_failed or self._stalled(run_dir, queue, procs, last_progress):
                     # Nobody is (or stays) alive to serve the queue: finish
@@ -424,12 +459,16 @@ class ClusterExecutor:
             output.append((job.content_key, cell))
         return output
 
-    def _maybe_spawn(self, run_dir: str, num_items: int) -> List[subprocess.Popen]:
+    def _maybe_spawn(
+        self, run_dir: str, num_items: int
+    ) -> Tuple[List[subprocess.Popen], Dict[str, str]]:
+        """Start the local fleet; returns it and its thread environment."""
         if not self.spawn_workers:
-            return []
+            return [], {}
         if live_worker_ids(run_dir, ttl=self.lease_timeout):
-            return []  # external workers already attached: don't double up
+            return [], {}  # external workers already attached: don't double up
         count = max(1, min(self.max_workers, num_items))
+        thread_env = blas_thread_env(count)
         procs = []
         for index in range(count):
             try:
@@ -438,6 +477,7 @@ class ClusterExecutor:
                         run_dir,
                         worker_id=f"local-{os.getpid()}-{index}",
                         poll_interval=self.poll_interval,
+                        extra_env=thread_env,
                     )
                 )
             # repro: ignore[REP008] spawn refusal *is* the degradation signal
@@ -445,7 +485,7 @@ class ClusterExecutor:
             # many daemons did start.
             except OSError:
                 break
-        return procs
+        return procs, thread_env
 
     def _babysit(
         self,
@@ -453,8 +493,9 @@ class ClusterExecutor:
         procs: List[subprocess.Popen],
         restarts_left: int,
         queue: JobQueue,
+        thread_env: Dict[str, str],
     ):
-        """Replace dead local daemons while work remains (within budget)."""
+        """Replace dead local daemons (with the fleet's thread environment)."""
         alive = [proc for proc in procs if proc.poll() is None]
         dead = len(procs) - len(alive)
         if dead and not queue.is_drained():
@@ -472,6 +513,7 @@ class ClusterExecutor:
                             run_dir,
                             worker_id=f"local-{os.getpid()}-r{restarts_left}",
                             poll_interval=self.poll_interval,
+                            extra_env=thread_env,
                         )
                     )
                 except OSError:

@@ -244,8 +244,11 @@ def worker_loop(
     if plan is not previous_plan:
         faults.install(plan)
     rec = telemetry.get_recorder()
-    queue = JobQueue(run_dir, lease_timeout=lease_timeout, retry=retry)
-    context = _load_context(run_dir)
+    # The part of a daemon's cold start after its imports: queue backend
+    # set-up and the context unpickle.
+    with rec.span("worker.startup", worker=worker_id):
+        queue = JobQueue(run_dir, lease_timeout=lease_timeout, retry=retry)
+        context = _load_context(run_dir)
     checksum = bool(manifest.get("checksums"))
     shard_path = os.path.join(run_dir, SHARDS_DIRNAME, f"worker-{worker_id}.jsonl")
     stats = WorkerStats(worker_id=worker_id)
