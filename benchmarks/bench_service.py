@@ -2,11 +2,10 @@
 
 Registers two differently-shaped synthetic sweeps as tenants of one
 :class:`~repro.service.ServiceRegistry` (alice at twice bob's fair-share
-priority; bob on the ``kv`` queue backend so both storage protocols run in
-one pass) and drains the service with ``--workers`` real worker processes
-(``python -m repro.service worker``, separate interpreters, coordinating
-through the service directory alone — exactly how a multi-host fleet
-would).
+priority, both on the filesystem queue) and drains the service with
+``--workers`` real worker processes (``python -m repro.service worker``,
+separate interpreters, coordinating through the service directory alone —
+exactly how a multi-host fleet would).
 
 Before any timing is reported the per-tenant merged stores are checked for
 **exact** equality with a solo :class:`~repro.runtime.SerialExecutor` run
@@ -163,12 +162,10 @@ def main() -> int:
         registry = ServiceRegistry(service_dir)
         if args.telemetry:
             telemetry.configure(service_dir, name="bench-submitter")
-        # bob rides the kv backend so one smoke exercises both queue
-        # storage protocols end to end.
         registry.submit("alice", tenant_grid(args, "alice"), priority=2.0,
                         lease_timeout=30.0)
         registry.submit("bob", tenant_grid(args, "bob"), priority=1.0,
-                        lease_timeout=30.0, queue_backend="kv")
+                        lease_timeout=30.0)
         if args.telemetry:
             telemetry.disable()
 

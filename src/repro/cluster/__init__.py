@@ -41,18 +41,7 @@ Importing this module registers the ``"cluster"`` executor with
 :func:`repro.runtime.executors.register_executor`.
 """
 
-from repro.cluster.backends import (
-    DEFAULT_QUEUE_BACKEND,
-    BlobStore,
-    FilesystemQueueBackend,
-    KVQueueBackend,
-    LocalDirBlobStore,
-    QueueBackend,
-    manifest_queue_backend,
-    queue_backend_names,
-    register_queue_backend,
-    resolve_queue_backend,
-)
+from repro.cluster.backends import FilesystemQueueBackend, QueueBackend
 from repro.cluster.broker import (
     Submission,
     group_item_id,
@@ -123,12 +112,4 @@ __all__ = [
     "spawn_local_worker",
     "QueueBackend",
     "FilesystemQueueBackend",
-    "KVQueueBackend",
-    "BlobStore",
-    "LocalDirBlobStore",
-    "DEFAULT_QUEUE_BACKEND",
-    "register_queue_backend",
-    "queue_backend_names",
-    "resolve_queue_backend",
-    "manifest_queue_backend",
 ]

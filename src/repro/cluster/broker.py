@@ -33,7 +33,6 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence
 
 from repro import faults, telemetry
-from repro.cluster.backends import DEFAULT_QUEUE_BACKEND
 from repro.cluster.queue import DEFAULT_LEASE_TIMEOUT, JobQueue, RetryPolicy
 from repro.runtime.executors import group_jobs
 from repro.runtime.spec import EvalJob, SweepContext, SweepSpec
@@ -93,12 +92,25 @@ def _context_digest(blob: bytes) -> str:
 
 
 def read_manifest(run_dir: str) -> Optional[Dict[str, object]]:
-    """The run directory's manifest, or ``None`` before the first submission."""
+    """The run directory's manifest, or ``None`` before the first submission.
+
+    Raises ``ValueError`` for a manifest whose ``queue_backend`` names
+    anything but ``"filesystem"``: such a run kept its queue outside
+    ``queue/``, so it would look empty (drained) to every worker and tool.
+    """
     path = os.path.join(run_dir, MANIFEST_FILENAME)
     if not os.path.exists(path):
         return None
     records = read_jsonl(path)  # one-document file; reuse the tolerant reader
-    return records[0] if records else None
+    manifest = records[0] if records else None
+    legacy = (manifest or {}).get("queue_backend", "filesystem")
+    if legacy != "filesystem":
+        raise ValueError(
+            f"run directory {run_dir!r} records queue_backend={legacy!r} in its "
+            "manifest; only the filesystem queue is supported, so its items "
+            "cannot be read"
+        )
+    return manifest
 
 
 def prepare_run_dir(
@@ -110,7 +122,6 @@ def prepare_run_dir(
     retry: Optional[RetryPolicy] = None,
     fault_plan: Optional[faults.FaultPlan] = None,
     checksums: bool = True,
-    queue_backend: str = DEFAULT_QUEUE_BACKEND,
 ) -> Submission:
     """Publish ``groups`` (and their ``context``) as claimable work items.
 
@@ -125,17 +136,12 @@ def prepare_run_dir(
     manifest so the whole fleet — spawned daemons included — agrees on them;
     so is ``checksums`` (on by default for cluster runs), which makes every
     shard and canonical-store line carry a per-line integrity footer that
-    ``repro.cluster verify`` can audit.  ``queue_backend`` names the
-    registered storage backend the queue lives on (``"filesystem"`` by
-    default, ``"kv"`` for the blob-store protocol); it too is recorded in
-    the manifest, so every later :class:`JobQueue` built from nothing but
-    the run directory resolves the same one.
+    ``repro.cluster verify`` can audit.
     """
     run_dir = os.path.abspath(run_dir)
+    read_manifest(run_dir)  # refuses a run directory of an unsupported queue
     retry = retry or RetryPolicy()
-    queue = JobQueue(
-        run_dir, lease_timeout=lease_timeout, retry=retry, backend=queue_backend
-    )
+    queue = JobQueue(run_dir, lease_timeout=lease_timeout, retry=retry)
     os.makedirs(os.path.join(run_dir, SHARDS_DIRNAME), exist_ok=True)
     os.makedirs(os.path.join(run_dir, WORKERS_DIRNAME), exist_ok=True)
 
@@ -187,9 +193,6 @@ def prepare_run_dir(
             "faults": fault_plan.to_json() if fault_plan is not None else None,
             # Per-line checksum footers on shard/store appends fleet-wide.
             "checksums": bool(checksums),
-            # The storage backend the queue speaks; workers, mergers and
-            # the verifier resolve it from here.
-            "queue_backend": str(queue_backend),
         },
     )
     telemetry.get_recorder().event(
@@ -210,7 +213,6 @@ def submit_spec(
     retry: Optional[RetryPolicy] = None,
     fault_plan: Optional[faults.FaultPlan] = None,
     checksums: bool = True,
-    queue_backend: str = DEFAULT_QUEUE_BACKEND,
 ) -> Submission:
     """Publish every not-yet-stored cell of ``spec`` to ``run_dir``.
 
@@ -240,7 +242,6 @@ def submit_spec(
         retry=retry,
         fault_plan=fault_plan,
         checksums=checksums,
-        queue_backend=queue_backend,
     )
     submission.cached_keys = cached
     submission.expected_keys = [job.content_key for job in spec.jobs]

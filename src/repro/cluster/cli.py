@@ -42,7 +42,6 @@ import pickle
 import sys
 from typing import Dict, Optional, Sequence
 
-from repro.cluster.backends import DEFAULT_QUEUE_BACKEND
 from repro.cluster.broker import read_manifest, submit_spec
 from repro.cluster.integrity import (
     DEFAULT_SKEW_TOLERANCE,
@@ -75,7 +74,6 @@ def _cmd_submit(args) -> int:
         spec,
         chunk_size=args.chunk_size,
         lease_timeout=args.lease_timeout,
-        queue_backend=args.queue_backend,
     )
     print(
         f"submitted {len(submission.enqueued)} new item(s) to {submission.run_dir} "
@@ -368,9 +366,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--spec", required=True, help="path to a pickled SweepSpec")
     p.add_argument("--chunk-size", type=int, default=None)
     p.add_argument("--lease-timeout", type=float, default=DEFAULT_LEASE_TIMEOUT)
-    p.add_argument("--queue-backend", default=DEFAULT_QUEUE_BACKEND,
-                   help="registered queue storage backend "
-                        "(filesystem | kv | a custom registration)")
     p.set_defaults(func=_cmd_submit)
 
     p = sub.add_parser("worker", help="serve the queue: claim, execute, append")

@@ -49,11 +49,10 @@ Item payloads are small JSON documents (the serialized
 atomically so readers on other hosts never observe partial files.
 
 The storage primitives behind all of the above — list/read/write/move/
-touch — live behind the pluggable :class:`~repro.cluster.backends.QueueBackend`
-seam: ``filesystem`` (this module's historical protocol, bit-identical) is
-the default, and ``kv`` speaks the same contract over a minimal blob-store
-interface so S3-style object stores can host the queue without a shared
-POSIX filesystem.  The scheduling semantics above are backend-independent.
+touch — sit behind the :class:`~repro.cluster.backends.QueueBackend`
+contract; the POSIX rename protocol described here
+(:class:`~repro.cluster.backends.FilesystemQueueBackend`) is its one
+production implementation.
 """
 
 from __future__ import annotations
@@ -62,10 +61,10 @@ import os
 import random
 import time
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Union
+from typing import Dict, List, Optional
 
 from repro import telemetry
-from repro.cluster.backends import QueueBackend, resolve_queue_backend
+from repro.cluster.backends import FilesystemQueueBackend, QueueBackend
 from repro.utils.rng import derived_seed, new_rng
 
 __all__ = [
@@ -183,11 +182,10 @@ class JobQueue:
         construct their queue with the manifest's policy so the whole fleet
         agrees on the attempt budget.
     backend:
-        Storage backend: a registry name (``"filesystem"``, ``"kv"``), a
-        :class:`~repro.cluster.backends.QueueBackend` instance, or ``None``
-        (the default) to resolve the run manifest's recorded backend — so a
-        worker handed nothing but a run directory always speaks the same
-        protocol the submission chose.
+        Storage backend: ``None`` (the default) for the POSIX rename
+        protocol under ``run_dir``, or a
+        :class:`~repro.cluster.backends.QueueBackend` instance to use
+        instead (a test substitute).
     """
 
     def __init__(
@@ -195,7 +193,7 @@ class JobQueue:
         run_dir: str,
         lease_timeout: float = DEFAULT_LEASE_TIMEOUT,
         retry: Optional[RetryPolicy] = None,
-        backend: Union[str, QueueBackend, None] = None,
+        backend: Optional[QueueBackend] = None,
     ):
         if lease_timeout <= 0:
             raise ValueError(f"lease_timeout must be positive, got {lease_timeout}")
@@ -203,7 +201,9 @@ class JobQueue:
         self.queue_dir = os.path.join(self.run_dir, "queue")
         self.lease_timeout = float(lease_timeout)
         self.retry = retry or RetryPolicy()
-        self.backend = resolve_queue_backend(backend, self.run_dir)
+        self.backend = (
+            FilesystemQueueBackend(self.run_dir) if backend is None else backend
+        )
         self.ensure_layout()
 
     # -- layout ---------------------------------------------------------------
@@ -212,8 +212,7 @@ class JobQueue:
         self.backend.ensure_layout()
 
     def _path(self, state: str, item_id: str) -> str:
-        # Filesystem-layout path, kept for tooling that inspects the default
-        # backend's files directly; other backends have no path to give.
+        # Filesystem-layout path, kept for tooling that inspects the files.
         return os.path.join(self.queue_dir, state, item_id + ".json")
 
     def _ids(self, state: str) -> List[str]:

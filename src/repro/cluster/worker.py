@@ -44,8 +44,9 @@ import socket
 import threading
 import time
 import traceback
+from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import List, Optional
+from typing import Iterator, List, Optional
 
 from repro import faults, telemetry
 from repro.cluster.broker import (
@@ -66,7 +67,16 @@ from repro.runtime.store import job_metadata
 from repro.utils.rng import derived_seed, new_rng
 from repro.utils.serialization import append_jsonl, atomic_write_text, jsonl_line
 
-__all__ = ["WorkerStats", "worker_loop", "default_worker_id"]
+__all__ = [
+    "WorkerStats",
+    "RunHandle",
+    "WorkerSession",
+    "IdleBackoff",
+    "touch_beacon",
+    "execute_item",
+    "worker_loop",
+    "default_worker_id",
+]
 
 #: Legacy fault-injection hook, honoured only by the ``repro.cluster
 #: worker`` CLI (never by library callers such as the coordinator's
@@ -124,47 +134,170 @@ class _Heartbeat:
         self._thread.join()
 
 
-def _load_context(run_dir: str):
-    path = os.path.join(run_dir, CONTEXT_FILENAME)
-    with open(path, "rb") as handle:
-        return pickle.load(handle)
+class RunHandle:
+    """A worker's handles for one run directory.
+
+    Holds the manifest's knobs (lease timeout, chunk size, checksums, retry
+    policy, telemetry flag, fault schedule), the run's :class:`JobQueue` and
+    the heartbeat interval.  The pickled context is the expensive part and
+    loads lazily — *having it loaded* is what "warm" means to the service
+    scheduler.  ``fault_plan`` starts as the manifest's schedule;
+    :meth:`WorkerSession.open` replaces it by the one the worker runs under.
+    """
+
+    def __init__(self, run_dir: str, lease_timeout: Optional[float] = None):
+        self.run_dir = os.path.abspath(run_dir)
+        manifest = read_manifest(self.run_dir) or {}
+        if lease_timeout is None:
+            lease_timeout = manifest.get("lease_timeout") or DEFAULT_LEASE_TIMEOUT
+        self.lease_timeout = float(lease_timeout)
+        chunk = manifest.get("chunk_size")
+        self.chunk_size = int(chunk) if chunk is not None else None
+        self.checksum = bool(manifest.get("checksums"))
+        self.telemetry = bool(manifest.get("telemetry"))
+        self.retry = RetryPolicy.from_manifest(manifest.get("retry"))
+        plan = manifest.get("faults")
+        self.fault_plan = faults.FaultPlan.from_json(plan) if plan else None
+        self.queue = JobQueue(
+            self.run_dir, lease_timeout=self.lease_timeout, retry=self.retry
+        )
+        self.heartbeat_interval = max(self.lease_timeout / 4.0, 0.05)
+        self._context = None
+
+    @property
+    def warm(self) -> bool:
+        return self._context is not None
+
+    def context(self):
+        if self._context is None:
+            with open(os.path.join(self.run_dir, CONTEXT_FILENAME), "rb") as handle:
+                self._context = pickle.load(handle)
+        return self._context
+
+    def shard_path(self, worker_id: str) -> str:
+        return os.path.join(
+            self.run_dir, SHARDS_DIRNAME, f"worker-{worker_id}.jsonl"
+        )
 
 
-def _touch_beacon(run_dir: str, worker_id: str) -> None:
-    path = os.path.join(run_dir, WORKERS_DIRNAME, worker_id)
+class WorkerSession:
+    """Owns a worker loop's telemetry recorder and fault schedules.
+
+    A run submitted while telemetry was enabled flags its manifest; a worker
+    that has no recorder of its own then records into ``sink_dir`` (one sink
+    per worker, named like its result shard).  A recorder the caller already
+    installed always wins — the coordinator's in-process fallback keeps
+    recording into *its* configured sink.
+
+    Fault schedules resolve per run with the precedence of telemetry
+    configuration: the plan installed when the session starts wins, then
+    :data:`repro.faults.FAULTS_ENV`, then the run manifest
+    (``manifest["faults"]``).  The legacy ``crash_after_claim`` hook appends
+    its SIGKILL-at-claim rule to whatever else is scheduled.  :meth:`armed`
+    installs a run's plan bound to that run's firing budgets and restores
+    the caller's plan afterwards, so a library call (the coordinator's
+    in-process fallback, tests) never leaves a chaos schedule armed.
+    """
+
+    def __init__(
+        self,
+        worker_id: str,
+        sink_dir: str,
+        crash_after_claim: Optional[int] = None,
+    ):
+        self.worker_id = worker_id
+        self.sink_dir = sink_dir
+        self.crash_after_claim = crash_after_claim
+        self.caller_plan = faults.current()
+        self._owns_recorder = False
+
+    def open(self, run_dir: str, lease_timeout: Optional[float] = None) -> RunHandle:
+        """A :class:`RunHandle` for ``run_dir``, with telemetry configured."""
+        run = RunHandle(run_dir, lease_timeout=lease_timeout)
+        if run.telemetry and not telemetry.enabled():
+            telemetry.configure(self.sink_dir, name=f"worker-{self.worker_id}")
+            self._owns_recorder = True
+        plan = self.caller_plan or faults.plan_from_env() or run.fault_plan
+        if self.crash_after_claim is not None:
+            crash = faults.crash_after_claim_plan(self.crash_after_claim)
+            if plan is None:
+                plan = crash
+            else:
+                plan = faults.FaultPlan(
+                    rules=list(plan.rules) + list(crash.rules), seed=plan.seed
+                )
+        run.fault_plan = plan
+        return run
+
+    @contextmanager
+    def armed(self, run: RunHandle) -> Iterator[None]:
+        """Install ``run``'s fault plan for the block, then the caller's."""
+        if run.fault_plan is not None:
+            # Run-scoped rules (scope="run") share their firing budget across
+            # the whole fleet through slot files under <run_dir>/faults/.
+            run.fault_plan.bind(os.path.join(run.run_dir, faults.BUDGET_DIRNAME))
+        faults.install(run.fault_plan)
+        try:
+            yield
+        finally:
+            faults.install(self.caller_plan)
+
+    def __enter__(self) -> "WorkerSession":
+        return self
+
+    def __exit__(self, *exc) -> None:
+        if self._owns_recorder:
+            telemetry.disable()  # flushes the final metrics snapshot
+        else:
+            telemetry.get_recorder().flush_metrics()
+
+
+class IdleBackoff:
+    """Capped exponential idle-poll backoff with deterministic jitter.
+
+    The ``n``-th consecutive empty poll sleeps
+    ``min(poll_interval * 2**n, max_poll)`` scaled by a jitter in
+    ``[0.5, 1.5)`` drawn from a stream derived from ``tag`` and the worker
+    id through :mod:`repro.utils.rng`: an idle fleet polls ever more gently,
+    but any deferred (backing-off) item is revisited within ``max_poll``.
+    """
+
+    def __init__(
+        self, poll_interval: float, max_poll: Optional[float], tag: str, worker_id: str
+    ):
+        self.poll_interval = float(poll_interval)
+        self.max_poll = (
+            max(self.poll_interval, 2.0) if max_poll is None else float(max_poll)
+        )
+        self._rng = new_rng(derived_seed(tag, worker_id))
+        self._polls = 0
+        self._since = time.monotonic()
+
+    def reset(self) -> None:
+        """Something was claimed: restart the backoff and the idle clock."""
+        self._polls = 0
+        self._since = time.monotonic()
+
+    def expired(self, max_idle: Optional[float]) -> bool:
+        """Whether more than ``max_idle`` seconds passed without a claim."""
+        return max_idle is not None and time.monotonic() - self._since > max_idle
+
+    def sleep(self) -> None:
+        delay = min(self.poll_interval * 2.0 ** min(self._polls, 16), self.max_poll)
+        time.sleep(delay * (0.5 + self._rng.random()))
+        self._polls += 1
+
+
+def touch_beacon(directory: str, worker_id: str) -> None:
+    """Refresh ``<directory>/<worker_id>``, the worker's liveness beacon."""
+    path = os.path.join(directory, worker_id)
     try:
         os.utime(path)
     except FileNotFoundError:
-        os.makedirs(os.path.dirname(path), exist_ok=True)
-        # Atomic create: the coordinator may read the beacon at any moment,
-        # and a torn write would make a live worker look dead.
+        os.makedirs(directory, exist_ok=True)
+        # Atomic create: a reader may look at the beacon at any moment, and
+        # a torn write would make a live worker look dead.
         atomic_write_text(path, str(os.getpid()) + "\n")
-
-
-def _resolve_fault_plan(
-    manifest: dict, crash_after_claim: Optional[int]
-) -> Optional[faults.FaultPlan]:
-    """The fault schedule this loop should run under, or ``None``.
-
-    Precedence mirrors telemetry configuration: an explicitly installed plan
-    wins, then :data:`repro.faults.FAULTS_ENV`, then the run manifest.  The
-    legacy ``crash_after_claim`` hook appends its SIGKILL-at-claim rule to
-    whatever else is scheduled.
-    """
-    plan = faults.current()
-    if plan is None:
-        plan = faults.plan_from_env()
-    if plan is None and manifest.get("faults"):
-        plan = faults.FaultPlan.from_json(manifest["faults"])
-    if crash_after_claim is not None:
-        crash = faults.crash_after_claim_plan(crash_after_claim)
-        if plan is None:
-            plan = crash
-        else:
-            plan = faults.FaultPlan(
-                rules=list(plan.rules) + list(crash.rules), seed=plan.seed
-            )
-    return plan
 
 
 def worker_loop(
@@ -190,10 +323,9 @@ def worker_loop(
         participant agrees on what "abandoned" means.
     poll_interval:
         Initial sleep between claim attempts while the queue is empty.
-        Consecutive empty polls back off exponentially (with deterministic
-        jitter derived from the worker id through :mod:`repro.utils.rng`) up
-        to ``max_poll``, so an idle fleet doesn't hammer a shared
-        filesystem; any claimed item resets the backoff.
+        Consecutive empty polls back off exponentially (see
+        :class:`IdleBackoff`) up to ``max_poll``, so an idle fleet doesn't
+        hammer a shared filesystem; any claimed item resets the backoff.
     max_poll:
         Idle-sleep ceiling (default: ``max(poll_interval, 2.0)`` seconds).
     max_idle:
@@ -217,102 +349,49 @@ def worker_loop(
     """
     run_dir = os.path.abspath(run_dir)
     worker_id = worker_id or default_worker_id()
-    manifest = read_manifest(run_dir) or {}
-    if lease_timeout is None:
-        lease_timeout = float(manifest.get("lease_timeout") or DEFAULT_LEASE_TIMEOUT)
-    chunk_size = manifest.get("chunk_size")
-    chunk_size = int(chunk_size) if chunk_size is not None else None
-    retry = RetryPolicy.from_manifest(manifest.get("retry"))
-    # A submission made while telemetry was enabled flags the manifest; a
-    # worker that has no recorder of its own then records into the shared
-    # run directory (one sink per worker, named like its result shard).  A
-    # recorder the caller already installed always wins — the coordinator's
-    # in-process fallback keeps recording into *its* configured sink.
-    owns_recorder = False
-    if manifest.get("telemetry") and not telemetry.enabled():
-        telemetry.configure(run_dir, name=f"worker-{worker_id}")
-        owns_recorder = True
-    # Fault schedules propagate the same way; restore the caller's plan on
-    # exit so a library call (the coordinator's in-process fallback, tests)
-    # doesn't leave a chaos schedule armed in the calling process.
-    previous_plan = faults.current()
-    plan = _resolve_fault_plan(manifest, crash_after_claim)
-    if plan is not None:
-        # Run-scoped rules (scope="run") share their firing budget across
-        # the whole fleet through slot files under <run_dir>/faults/.
-        plan.bind(os.path.join(run_dir, faults.BUDGET_DIRNAME))
-    if plan is not previous_plan:
-        faults.install(plan)
-    rec = telemetry.get_recorder()
-    # The part of a daemon's cold start after its imports: queue backend
-    # set-up and the context unpickle.
-    with rec.span("worker.startup", worker=worker_id):
-        queue = JobQueue(run_dir, lease_timeout=lease_timeout, retry=retry)
-        context = _load_context(run_dir)
-    checksum = bool(manifest.get("checksums"))
-    shard_path = os.path.join(run_dir, SHARDS_DIRNAME, f"worker-{worker_id}.jsonl")
     stats = WorkerStats(worker_id=worker_id)
-    heartbeat_interval = max(lease_timeout / 4.0, 0.05)
-    max_poll = max(poll_interval, 2.0) if max_poll is None else float(max_poll)
-    idle_rng = new_rng(derived_seed("worker-idle", worker_id))
-    idle_polls = 0
-
-    rec.event("worker.start", worker=worker_id, run_dir=run_dir)
-    try:
-        idle_since = time.monotonic()
-        while True:
-            _touch_beacon(run_dir, worker_id)
-            requeued = len(queue.requeue_expired())
-            if requeued:
-                stats.requeued += requeued
-                rec.count("worker.requeued", requeued)
-            item = queue.claim(worker_id)
-            if item is None:
-                if exit_when_drained and queue.is_drained():
-                    return stats
-                if max_idle is not None and time.monotonic() - idle_since > max_idle:
-                    return stats
-                # Capped exponential backoff with deterministic jitter in
-                # [0.5, 1.5): idle fleets poll ever more gently, but any
-                # deferred (backing-off) item is revisited within max_poll.
-                delay = min(poll_interval * 2.0 ** min(idle_polls, 16), max_poll)
-                time.sleep(delay * (0.5 + idle_rng.random()))
-                idle_polls += 1
-                continue
-            idle_since = time.monotonic()
-            idle_polls = 0
-            _execute_item(
-                queue, context, item, shard_path, worker_id, chunk_size,
-                heartbeat_interval, stats, checksum=checksum,
-            )
-            if max_items is not None and stats.items >= max_items:
-                return stats
-    finally:
-        rec.event(
-            "worker.exit", worker=worker_id, items=stats.items,
-            cells=stats.cells, lost_leases=stats.lost_leases,
-            failures=stats.failures,
-        )
-        if owns_recorder:
-            telemetry.disable()  # flushes the final metrics snapshot
-        else:
-            rec.flush_metrics()
-        if plan is not previous_plan:
-            faults.install(previous_plan)
+    with WorkerSession(worker_id, run_dir, crash_after_claim) as session:
+        run = session.open(run_dir, lease_timeout=lease_timeout)
+        with session.armed(run):
+            rec = telemetry.get_recorder()
+            # The part of a daemon's cold start after its imports and queue
+            # set-up: the context unpickle.
+            with rec.span("worker.startup", worker=worker_id):
+                run.context()
+            beacons = os.path.join(run_dir, WORKERS_DIRNAME)
+            idle = IdleBackoff(poll_interval, max_poll, "worker-idle", worker_id)
+            rec.event("worker.start", worker=worker_id, run_dir=run_dir)
+            try:
+                while True:
+                    touch_beacon(beacons, worker_id)
+                    requeued = len(run.queue.requeue_expired())
+                    if requeued:
+                        stats.requeued += requeued
+                        rec.count("worker.requeued", requeued)
+                    item = run.queue.claim(worker_id)
+                    if item is None:
+                        if exit_when_drained and run.queue.is_drained():
+                            return stats
+                        if idle.expired(max_idle):
+                            return stats
+                        idle.sleep()
+                        continue
+                    idle.reset()
+                    execute_item(run, item, worker_id, stats)
+                    if max_items is not None and stats.items >= max_items:
+                        return stats
+            finally:
+                rec.event(
+                    "worker.exit", worker=worker_id, items=stats.items,
+                    cells=stats.cells, lost_leases=stats.lost_leases,
+                    failures=stats.failures,
+                )
 
 
-def _execute_item(
-    queue: JobQueue,
-    context,
-    item: WorkItem,
-    shard_path: str,
-    worker_id: str,
-    chunk_size: Optional[int],
-    heartbeat_interval: float,
-    stats: WorkerStats,
-    checksum: bool = False,
+def execute_item(
+    run: RunHandle, item: WorkItem, worker_id: str, stats: WorkerStats
 ) -> None:
-    """Execute one claimed item and publish its results durably.
+    """Execute one claimed item of ``run`` and publish its results durably.
 
     Exactly one ``worker.item`` span is recorded per *execution* of an item
     — claim through complete, whether or not the completion rename wins —
@@ -320,6 +399,9 @@ def _execute_item(
     per executing worker, never zero and never two from the same worker.
     """
     rec = telemetry.get_recorder()
+    queue = run.queue
+    shard_path = run.shard_path(worker_id)
+    checksum = run.checksum
     jobs = [EvalJob.from_record(record) for record in item.payload["jobs"]]
     jobs_by_key = {job.content_key: job for job in jobs}
     with rec.span(
@@ -328,9 +410,11 @@ def _execute_item(
     ) as span:
         try:
             faults.fire("claim", item.item_id)
-            with _Heartbeat(queue, item.item_id, heartbeat_interval):
+            with _Heartbeat(queue, item.item_id, run.heartbeat_interval):
                 faults.fire("execute", item.item_id)
-                output = execute_group(context, jobs, chunk_size=chunk_size)
+                output = execute_group(
+                    run.context(), jobs, chunk_size=run.chunk_size
+                )
             records = []
             for key, cell in output:
                 job = jobs_by_key.get(key)

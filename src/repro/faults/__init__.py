@@ -52,7 +52,7 @@ the rule and the visit number via :func:`repro.utils.rng.derived_seed`, so a
 given schedule makes identical decisions on every host and every rerun.
 With ``scope="run"`` the ``times`` budget is shared across the *fleet*
 instead: firings claim slot files under ``<run_dir>/faults/`` (bound via
-:meth:`FaultPlan.bind` by :func:`repro.cluster.worker.worker_loop`) with
+:meth:`FaultPlan.bind` by :class:`repro.cluster.worker.WorkerSession`) with
 ``O_CREAT|O_EXCL``, so ``times=1`` means once run-wide no matter how many
 worker processes carry the plan.  The per-process default is deliberate —
 poison rules ("tear the first publish of item X") must re-arm in every
@@ -62,9 +62,9 @@ Plans propagate exactly like telemetry configuration: a process-local
 install (:func:`install`), the :data:`FAULTS_ENV` environment variable, or
 the run manifest (``manifest["faults"]``, written by
 :func:`repro.cluster.broker.prepare_run_dir`) — in that precedence order,
-resolved by :func:`repro.cluster.worker.worker_loop` so spawned worker
-daemons honor the same schedule as in-process callers.  This generalizes
-(and subsumes) the original single-purpose
+resolved per run by :class:`repro.cluster.worker.WorkerSession` so spawned
+worker daemons and service workers honor the same schedule as in-process
+callers.  This generalizes (and subsumes) the original single-purpose
 :data:`~repro.cluster.worker.CRASH_AFTER_CLAIM_ENV` hook, which is now a
 one-rule plan (:func:`crash_after_claim_plan`).
 
@@ -243,8 +243,8 @@ class FaultPlan:
         """Bind run-scoped rules to a shared firing-budget directory.
 
         Workers bind the plan to ``<run_dir>/faults/`` before installing it
-        (:func:`repro.cluster.worker.worker_loop`), so every process serving
-        one run shares one budget.  Returns ``self`` for chaining; binding
+        (:class:`repro.cluster.worker.WorkerSession`), so every process
+        serving one run shares one budget.  Returns ``self`` for chaining; binding
         an already-bound plan to the same directory is a no-op.
         """
         self._budget_dir = os.path.abspath(budget_dir)

@@ -34,7 +34,6 @@ import pickle
 import sys
 from typing import Optional, Sequence
 
-from repro.cluster.backends import DEFAULT_QUEUE_BACKEND
 from repro.cluster.queue import DEFAULT_LEASE_TIMEOUT
 from repro.runtime.spec import SweepSpec
 from repro.service.registry import ServiceRegistry
@@ -62,7 +61,6 @@ def _cmd_submit(args) -> int:
         priority=args.priority,
         chunk_size=args.chunk_size,
         lease_timeout=args.lease_timeout,
-        queue_backend=args.queue_backend,
     )
     print(
         f"tenant {args.tenant}: {len(submission.enqueued)} new item(s) "
@@ -174,9 +172,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="fair-share weight (2.0 = twice the service rate)")
     p.add_argument("--chunk-size", type=int, default=None)
     p.add_argument("--lease-timeout", type=float, default=DEFAULT_LEASE_TIMEOUT)
-    p.add_argument("--queue-backend", default=DEFAULT_QUEUE_BACKEND,
-                   help="queue storage backend for this tenant "
-                        "(filesystem | kv | a custom registration)")
     p.set_defaults(func=_cmd_submit)
 
     p = sub.add_parser("worker", help="serve every runnable tenant fairly")

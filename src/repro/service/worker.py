@@ -15,13 +15,20 @@ tenant:
    starve;
 3. claim from the picked tenant's ordinary :class:`JobQueue` and execute
    the item with the *same* claim/execute/append/complete body the cluster
-   worker uses (:func:`repro.cluster.worker._execute_item`) — heartbeats,
+   worker uses (:func:`repro.cluster.worker.execute_item`) — heartbeats,
    fault seams, failure containment and shard-append durability included,
    so every single-run guarantee holds per tenant;
 4. when a tenant drains, finalize it: merge its shards into its canonical
    store under an ``O_CREAT|O_EXCL`` merge lock (exactly one finalizer per
    tenant fleet-wide) and fold its terminal state (``done``, or ``failed``
    when dead-lettered items remain) into the registry.
+
+The per-run plumbing is the cluster worker's too: one
+:class:`~repro.cluster.worker.RunHandle` per runnable tenant (dropped as
+soon as the tenant leaves the runnable set, so a resident worker holds only
+live tenants' contexts), one :class:`~repro.cluster.worker.WorkerSession`
+owning the recorder and arming each tenant's fault schedule only while that
+tenant's pick is served, the shared beacon and idle backoff.
 
 Per-pick telemetry: a ``service.dispatch`` span (tenant, reason, item) and
 the ``service.locality_hits`` / ``service.locality_misses`` /
@@ -33,20 +40,23 @@ poison the multi-tenant path as precisely as the single-run one.
 from __future__ import annotations
 
 import os
-import pickle
 import time
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
 from repro import faults, telemetry
-from repro.cluster.broker import CONTEXT_FILENAME, SHARDS_DIRNAME, read_manifest
 from repro.cluster.merge import MergeStats, merge_shards
-from repro.cluster.queue import DEFAULT_LEASE_TIMEOUT, JobQueue, RetryPolicy
-from repro.cluster.worker import WorkerStats, _execute_item, default_worker_id
+from repro.cluster.worker import (
+    IdleBackoff,
+    RunHandle,
+    WorkerSession,
+    WorkerStats,
+    default_worker_id,
+    execute_item,
+    touch_beacon,
+)
 from repro.service.registry import ServiceRegistry
 from repro.service.scheduler import FairShareScheduler
-from repro.utils.rng import derived_seed, new_rng
-from repro.utils.serialization import atomic_write_text
 
 __all__ = ["ServiceWorkerStats", "service_worker_loop", "MERGE_LOCK_FILENAME"]
 
@@ -89,60 +99,10 @@ class ServiceWorkerStats:
         self.lost_leases = sum(s.lost_leases for s in self.per_tenant.values())
 
 
-class _TenantRuntime:
-    """A worker's cached handles for one tenant's run directory.
-
-    The queue handle and manifest knobs are cheap and always held; the
-    pickled context is the expensive part and loads lazily — *having it
-    loaded* is what "warm" means to the scheduler.
-    """
-
-    def __init__(self, run_dir: str):
-        self.run_dir = run_dir
-        manifest = read_manifest(run_dir) or {}
-        self.lease_timeout = float(
-            manifest.get("lease_timeout") or DEFAULT_LEASE_TIMEOUT
-        )
-        chunk = manifest.get("chunk_size")
-        self.chunk_size = int(chunk) if chunk is not None else None
-        self.checksum = bool(manifest.get("checksums"))
-        self.telemetry = bool(manifest.get("telemetry"))
-        self.retry = RetryPolicy.from_manifest(manifest.get("retry"))
-        self.queue = JobQueue(
-            run_dir, lease_timeout=self.lease_timeout, retry=self.retry
-        )
-        self.heartbeat_interval = max(self.lease_timeout / 4.0, 0.05)
-        self._context = None
-
-    @property
-    def warm(self) -> bool:
-        return self._context is not None
-
-    def context(self):
-        if self._context is None:
-            with open(os.path.join(self.run_dir, CONTEXT_FILENAME), "rb") as handle:
-                self._context = pickle.load(handle)
-        return self._context
-
-    def shard_path(self, worker_id: str) -> str:
-        return os.path.join(
-            self.run_dir, SHARDS_DIRNAME, f"worker-{worker_id}.jsonl"
-        )
-
-
-def _touch_service_beacon(registry: ServiceRegistry, worker_id: str) -> None:
-    path = os.path.join(registry.workers_dir(), worker_id)
-    try:
-        os.utime(path)
-    except FileNotFoundError:
-        os.makedirs(os.path.dirname(path), exist_ok=True)
-        atomic_write_text(path, str(os.getpid()) + "\n")
-
-
 def _finalize_tenant(
     registry: ServiceRegistry,
     tenant_id: str,
-    runtime: _TenantRuntime,
+    run: RunHandle,
     stats: ServiceWorkerStats,
 ) -> bool:
     """Merge a drained tenant's shards and fold its terminal state.
@@ -152,7 +112,7 @@ def _finalize_tenant(
     keys dedupe), so a crashed finalizer costs nothing but a stale lock,
     which the next worker breaks after :data:`STALE_LOCK_S`.
     """
-    lock_path = os.path.join(runtime.run_dir, MERGE_LOCK_FILENAME)
+    lock_path = os.path.join(run.run_dir, MERGE_LOCK_FILENAME)
     try:
         lock_age = time.time() - os.stat(lock_path).st_mtime
         if lock_age > STALE_LOCK_S:
@@ -169,8 +129,8 @@ def _finalize_tenant(
     try:
         os.write(fd, f"{stats.worker_id}\n".encode())
         os.close(fd)
-        merge_stats: MergeStats = merge_shards(runtime.run_dir)
-        failed = runtime.queue.failed_ids()
+        merge_stats: MergeStats = merge_shards(run.run_dir)
+        failed = run.queue.failed_ids()
         state = "failed" if failed else "done"
         registry.set_state(tenant_id, state, worker=stats.worker_id)
         stats.finalized.append(tenant_id)
@@ -232,140 +192,118 @@ def service_worker_loop(
     worker_id = worker_id or default_worker_id()
     scheduler = scheduler or FairShareScheduler(seed=seed)
     stats = ServiceWorkerStats(worker_id=worker_id)
-    runtimes: Dict[str, _TenantRuntime] = {}
+    runs: Dict[str, RunHandle] = {}
     warm_tenant: Optional[str] = None
-    owns_recorder = False
-    rec = telemetry.get_recorder()
-    max_poll = max(poll_interval, 2.0) if max_poll is None else float(max_poll)
-    idle_rng = new_rng(derived_seed("service-idle", worker_id))
-    idle_polls = 0
-    idle_since = time.monotonic()
-
-    rec.event("service.worker_start", worker=worker_id, service_dir=service_dir)
-    try:
-        while True:
-            _touch_service_beacon(registry, worker_id)
-            runnable = registry.runnable()
-            outstanding: Dict[str, int] = {}
-            priorities: Dict[str, float] = {}
-            drained_now: List[str] = []
-            for tenant_id, tenant in sorted(runnable.items()):
-                runtime = runtimes.get(tenant_id)
-                if runtime is None:
-                    run_dir = registry.tenant_run_dir(tenant_id)
-                    if not os.path.isdir(run_dir):
-                        continue  # registered but never prepared; skip
-                    runtime = runtimes[tenant_id] = _TenantRuntime(run_dir)
-                    # A tenant submitted with telemetry asks service
-                    # workers without a recorder to record into the
-                    # *service* directory (one sink per worker).
-                    if runtime.telemetry and not telemetry.enabled():
-                        telemetry.configure(
-                            registry.service_dir, name=f"worker-{worker_id}"
-                        )
-                        owns_recorder = True
+    idle = IdleBackoff(poll_interval, max_poll, "service-idle", worker_id)
+    # A tenant submitted with telemetry asks service workers without a
+    # recorder to record into the *service* directory (one sink per worker).
+    with WorkerSession(worker_id, registry.service_dir) as session:
+        rec = telemetry.get_recorder()
+        rec.event("service.worker_start", worker=worker_id, service_dir=service_dir)
+        try:
+            while True:
+                touch_beacon(registry.workers_dir(), worker_id)
+                runnable = registry.runnable()
+                # A finalized, paused, done or failed tenant's handle (and
+                # with it its unpickled context) goes; a resubmission opens
+                # a fresh one.  Single-threaded: never mid-item.
+                for tenant_id in [t for t in runs if t not in runnable]:
+                    del runs[tenant_id]
+                if warm_tenant not in runs:
+                    warm_tenant = None
+                outstanding: Dict[str, int] = {}
+                priorities: Dict[str, float] = {}
+                drained_now: List[str] = []
+                for tenant_id, tenant in sorted(runnable.items()):
+                    run = runs.get(tenant_id)
+                    if run is None:
+                        run_dir = registry.tenant_run_dir(tenant_id)
+                        if not os.path.isdir(run_dir):
+                            continue  # registered but never prepared; skip
+                        run = runs[tenant_id] = session.open(run_dir)
                         rec = telemetry.get_recorder()
-                requeued = len(runtime.queue.requeue_expired())
-                if requeued:
-                    stats.requeued += requeued
-                    rec.count("service.requeued", requeued)
-                counts = runtime.queue.counts()
-                outstanding[tenant_id] = counts["pending"]
-                priorities[tenant_id] = tenant.priority
-                if counts["pending"] == 0 and counts["leased"] == 0:
-                    drained_now.append(tenant_id)
+                    requeued = len(run.queue.requeue_expired())
+                    if requeued:
+                        stats.requeued += requeued
+                        rec.count("service.requeued", requeued)
+                    counts = run.queue.counts()
+                    outstanding[tenant_id] = counts["pending"]
+                    priorities[tenant_id] = tenant.priority
+                    if counts["pending"] == 0 and counts["leased"] == 0:
+                        drained_now.append(tenant_id)
 
-            for tenant_id in drained_now:
-                _finalize_tenant(registry, tenant_id, runtimes[tenant_id], stats)
+                for tenant_id in drained_now:
+                    _finalize_tenant(registry, tenant_id, runs[tenant_id], stats)
 
-            pick = scheduler.pick(outstanding, priorities, warm=warm_tenant)
-            if pick is None:
-                if exit_when_drained:
-                    return stats
-                if max_idle is not None and time.monotonic() - idle_since > max_idle:
-                    return stats
-                delay = min(poll_interval * 2.0 ** min(idle_polls, 16), max_poll)
-                time.sleep(delay * (0.5 + idle_rng.random()))
-                idle_polls += 1
-                continue
-
-            runtime = runtimes[pick.tenant]
-            with rec.span(
-                "service.dispatch",
-                worker=worker_id, tenant=pick.tenant, reason=pick.reason,
-            ) as span:
-                try:
-                    faults.fire("dispatch", pick.tenant)
-                    if pick.reason == "steal":
-                        stats.steals += 1
-                        rec.count("service.steals")
-                        faults.fire("steal", pick.tenant)
-                except Exception as exc:  # noqa: BLE001 - containment boundary
-                    # A poisoned dispatch costs one pick, not the worker:
-                    # nothing is claimed yet, so hand back the credit and
-                    # take the next round.
-                    scheduler.refund(pick.tenant)
-                    span.note(failed=True, exc_type=type(exc).__name__)
-                    rec.count("service.dispatch_failures")
-                    rec.event(
-                        "service.dispatch_failed", level="error",
-                        worker=worker_id, tenant=pick.tenant,
-                        exc_type=type(exc).__name__, message=str(exc)[:500],
-                    )
-                    continue
-                item = runtime.queue.claim(worker_id)
-                span.note(claimed=item is not None)
-                if item is None:
-                    # The snapshot went stale (a peer drained the tenant, or
-                    # every pending item is backing off); hand the credit
-                    # back and take the idle path.
-                    scheduler.refund(pick.tenant)
-                    rec.count("service.empty_claims")
-                    if max_idle is not None and (
-                        time.monotonic() - idle_since > max_idle
-                    ):
+                pick = scheduler.pick(outstanding, priorities, warm=warm_tenant)
+                if pick is None:
+                    if exit_when_drained or idle.expired(max_idle):
                         return stats
-                    delay = min(poll_interval * 2.0 ** min(idle_polls, 16), max_poll)
-                    time.sleep(delay * (0.5 + idle_rng.random()))
-                    idle_polls += 1
+                    idle.sleep()
                     continue
-                idle_since = time.monotonic()
-                idle_polls = 0
-                if pick.tenant == warm_tenant and runtime.warm:
-                    stats.locality_hits += 1
-                    rec.count("service.locality_hits")
-                else:
-                    stats.locality_misses += 1
-                    rec.count("service.locality_misses")
-                if not runtime.warm:
-                    stats.context_loads += 1
-                    rec.count("service.context_loads")
-                context = runtime.context()
-                warm_tenant = pick.tenant
-                if runnable[pick.tenant].state == "queued":
-                    registry.set_state(pick.tenant, "active", worker=worker_id)
-                tenant_stats = stats.tenant_stats(pick.tenant, worker_id)
-                _execute_item(
-                    runtime.queue, context, item,
-                    runtime.shard_path(worker_id), worker_id,
-                    runtime.chunk_size, runtime.heartbeat_interval,
-                    tenant_stats, checksum=runtime.checksum,
-                )
-                span.note(items=tenant_stats.items)
+
+                run = runs[pick.tenant]
+                with session.armed(run), rec.span(
+                    "service.dispatch",
+                    worker=worker_id, tenant=pick.tenant, reason=pick.reason,
+                ) as span:
+                    try:
+                        faults.fire("dispatch", pick.tenant)
+                        if pick.reason == "steal":
+                            stats.steals += 1
+                            rec.count("service.steals")
+                            faults.fire("steal", pick.tenant)
+                    except Exception as exc:  # noqa: BLE001 - containment boundary
+                        # A poisoned dispatch costs one pick, not the worker:
+                        # nothing is claimed yet, so hand back the credit
+                        # and take the next round.
+                        scheduler.refund(pick.tenant)
+                        span.note(failed=True, exc_type=type(exc).__name__)
+                        rec.count("service.dispatch_failures")
+                        rec.event(
+                            "service.dispatch_failed", level="error",
+                            worker=worker_id, tenant=pick.tenant,
+                            exc_type=type(exc).__name__, message=str(exc)[:500],
+                        )
+                        continue
+                    item = run.queue.claim(worker_id)
+                    span.note(claimed=item is not None)
+                    if item is None:
+                        # The snapshot went stale (a peer drained the tenant,
+                        # or every pending item is backing off); hand the
+                        # credit back and take the idle path.
+                        scheduler.refund(pick.tenant)
+                        rec.count("service.empty_claims")
+                        if idle.expired(max_idle):
+                            return stats
+                        idle.sleep()
+                        continue
+                    idle.reset()
+                    if pick.tenant == warm_tenant and run.warm:
+                        stats.locality_hits += 1
+                        rec.count("service.locality_hits")
+                    else:
+                        stats.locality_misses += 1
+                        rec.count("service.locality_misses")
+                    if not run.warm:
+                        stats.context_loads += 1
+                        rec.count("service.context_loads")
+                    warm_tenant = pick.tenant
+                    if runnable[pick.tenant].state == "queued":
+                        registry.set_state(pick.tenant, "active", worker=worker_id)
+                    tenant_stats = stats.tenant_stats(pick.tenant, worker_id)
+                    execute_item(run, item, worker_id, tenant_stats)
+                    span.note(items=tenant_stats.items)
+                stats.fold()
+                if run.queue.is_drained():
+                    _finalize_tenant(registry, pick.tenant, run, stats)
+                if max_items is not None and stats.items >= max_items:
+                    return stats
+        finally:
             stats.fold()
-            if runtime.queue.is_drained():
-                _finalize_tenant(registry, pick.tenant, runtime, stats)
-            if max_items is not None and stats.items >= max_items:
-                return stats
-    finally:
-        stats.fold()
-        rec.event(
-            "service.worker_exit",
-            worker=worker_id, items=stats.items, cells=stats.cells,
-            locality_hits=stats.locality_hits, steals=stats.steals,
-            finalized=len(stats.finalized),
-        )
-        if owns_recorder:
-            telemetry.disable()
-        else:
-            rec.flush_metrics()
+            rec.event(
+                "service.worker_exit",
+                worker=worker_id, items=stats.items, cells=stats.cells,
+                locality_hits=stats.locality_hits, steals=stats.steals,
+                finalized=len(stats.finalized),
+            )

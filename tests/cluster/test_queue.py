@@ -1,31 +1,33 @@
 """Tests for the claim-by-rename leased job queue.
 
-The whole matrix runs once per registered queue backend — the ``kv``
-blob-store protocol must honor every lease/retry/fence invariant the
-``filesystem`` rename protocol does.
+The matrix runs once per queue storage backend in :data:`BACKENDS`, each
+handed to :class:`JobQueue` as an instance; a second implementation of the
+:class:`~repro.cluster.backends.QueueBackend` contract joins by adding an
+entry and must honor every lease/retry/fence invariant below.
 """
 
 import time
 
 import pytest
 
-from repro.cluster import JobQueue, RetryPolicy
+from repro.cluster import FilesystemQueueBackend, JobQueue, RetryPolicy
 
-BACKENDS = ["filesystem", "kv"]
+#: ``{matrix id: factory(run_dir) -> QueueBackend}``.
+BACKENDS = {"filesystem": FilesystemQueueBackend}
 
 
-@pytest.fixture(params=BACKENDS)
+@pytest.fixture(params=sorted(BACKENDS))
 def queue(tmp_path, request):
-    return JobQueue(str(tmp_path), lease_timeout=0.2, backend=request.param)
+    backend = BACKENDS[request.param](str(tmp_path))
+    return JobQueue(str(tmp_path), lease_timeout=0.2, backend=backend)
 
 
-@pytest.fixture(params=BACKENDS)
+@pytest.fixture(params=sorted(BACKENDS))
 def retry_queue(tmp_path, request):
     """A queue with a tight, deterministic retry budget and no backoff wait."""
     policy = RetryPolicy(max_attempts=3, backoff_base=0.0, jitter=0.0)
-    return JobQueue(
-        str(tmp_path), lease_timeout=0.2, retry=policy, backend=request.param
-    )
+    backend = BACKENDS[request.param](str(tmp_path))
+    return JobQueue(str(tmp_path), lease_timeout=0.2, retry=policy, backend=backend)
 
 
 def test_enqueue_claim_complete_lifecycle(queue):
@@ -163,10 +165,13 @@ def test_failure_record_carries_traceback_and_history(retry_queue):
     assert all(entry["exc_type"] == "ValueError" for entry in history)
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
+@pytest.mark.parametrize("backend", sorted(BACKENDS))
 def test_retry_after_defers_the_claim(tmp_path, backend):
     policy = RetryPolicy(max_attempts=3, backoff_base=30.0, jitter=0.0)
-    queue = JobQueue(str(tmp_path), lease_timeout=0.2, retry=policy, backend=backend)
+    queue = JobQueue(
+        str(tmp_path), lease_timeout=0.2, retry=policy,
+        backend=BACKENDS[backend](str(tmp_path)),
+    )
     queue.enqueue("a", {"item": "a", "jobs": []})
     item = queue.claim("w1")
     assert queue.nack(item, {"exc_type": "E", "message": "m"}, worker="w1") == "retry"

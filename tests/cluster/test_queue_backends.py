@@ -1,4 +1,4 @@
-"""Tests for the pluggable queue-backend seam and the kv reference store."""
+"""Tests for the queue storage seam and for legacy run directories."""
 
 import json
 import os
@@ -6,216 +6,78 @@ import os
 import pytest
 
 from repro.cluster import (
-    DEFAULT_QUEUE_BACKEND,
     FilesystemQueueBackend,
     JobQueue,
-    KVQueueBackend,
-    LocalDirBlobStore,
-    manifest_queue_backend,
-    merge_shards,
-    queue_backend_names,
-    register_queue_backend,
-    resolve_queue_backend,
+    read_manifest,
     submit_spec,
     worker_loop,
 )
-from repro.cluster.backends import KV_DIRNAME
-from repro.runtime import ResultStore, SerialExecutor, run_sweep
 
 
-# -- LocalDirBlobStore: the precondition semantics the kv backend builds on --
+class RecordingBackend(FilesystemQueueBackend):
+    """The filesystem protocol, noting every primitive the queue calls."""
 
+    def __init__(self, run_dir):
+        super().__init__(run_dir)
+        self.calls = []
 
-@pytest.fixture
-def store(tmp_path):
-    return LocalDirBlobStore(str(tmp_path / "blobs"))
+    def move(self, src, dst, item_id):
+        self.calls.append(("move", src, dst, item_id))
+        return super().move(src, dst, item_id)
 
-
-def test_blob_store_round_trip_and_overwrite(store):
-    assert store.get("a/b.json") is None
-    assert store.put("a/b.json", b"one")
-    assert store.get("a/b.json") == b"one"
-    assert store.put("a/b.json", b"two")  # unconditional put overwrites
-    assert store.get("a/b.json") == b"two"
-
-
-def test_blob_store_put_if_absent_decides_the_race(store):
-    assert store.put("k", b"winner", if_absent=True)
-    assert not store.put("k", b"loser", if_absent=True)
-    assert store.get("k") == b"winner"  # the loser wrote nothing
-
-
-def test_blob_store_delete_reports_precondition(store):
-    store.put("k", b"x")
-    assert store.delete("k")
-    assert not store.delete("k")  # already gone
-    assert store.get("k") is None
-
-
-def test_blob_store_list_filters_prefix_and_temporaries(store):
-    store.put("queue/pending/a.json", b"{}")
-    store.put("queue/pending/b.json", b"{}")
-    store.put("queue/done/c.json", b"{}")
-    # In-flight temporaries from a crashed writer must not surface as keys.
-    crash = os.path.join(store.root, "queue", "pending", "a.json.tmp-99-0~")
-    with open(crash, "wb") as handle:
-        handle.write(b"partial")
-    assert store.list("queue/pending/") == [
-        "queue/pending/a.json",
-        "queue/pending/b.json",
-    ]
-    assert store.list() == [
-        "queue/done/c.json",
-        "queue/pending/a.json",
-        "queue/pending/b.json",
-    ]
-
-
-def test_blob_store_rejects_escaping_keys(store):
-    for bad in ("", "/abs", "../up", "a/../../b"):
-        with pytest.raises(ValueError, match="invalid blob key"):
-            store.put(bad, b"x")
-
-
-# -- KVQueueBackend move protocol --------------------------------------------
-
-
-def test_kv_move_commits_by_deleting_the_source(store):
-    backend = KVQueueBackend(store)
-    backend.write("pending", "a", {"item": "a"})
-    assert backend.move("pending", "leased", "a")
-    assert not backend.exists("pending", "a")
-    assert backend.read("leased", "a") == {"item": "a"}
-
-
-def test_kv_move_loses_when_destination_exists(store):
-    backend = KVQueueBackend(store)
-    backend.write("pending", "a", {"item": "a"})
-    backend.write("leased", "a", {"item": "a", "fence": 9})
-    assert not backend.move("pending", "leased", "a")
-    # The loser left both documents untouched.
-    assert backend.read("leased", "a") == {"item": "a", "fence": 9}
-    assert backend.read("pending", "a") == {"item": "a"}
-
-
-def test_kv_move_rolls_back_when_commit_loses(store, monkeypatch):
-    """If the source delete loses (a concurrent mover committed first), the
-    copied destination blob is rolled back so the item lands in one state."""
-    backend = KVQueueBackend(store)
-    backend.write("pending", "a", {"item": "a"})
-    real_delete = store.delete
-
-    def racing_delete(key):
-        # The concurrent mover snatches the source just before our commit.
-        if key.endswith("pending/a.json"):
-            real_delete(key)  # simulate the rival's committed delete...
-            return False  # ...so ours observes "already gone"
-        return real_delete(key)
-
-    monkeypatch.setattr(store, "delete", racing_delete)
-    assert not backend.move("pending", "leased", "a")
-    monkeypatch.undo()
-    assert not backend.exists("leased", "a")  # rollback removed the copy
-
-
-def test_kv_heartbeat_rides_inside_the_document(store):
-    backend = KVQueueBackend(store)
-    backend.write("leased", "a", {"item": "a"})
-    first = backend.mtime("leased", "a")
-    assert first is not None
-    assert backend.touch("leased", "a", ts=first + 5.0)
-    assert backend.mtime("leased", "a") == first + 5.0
-    assert backend.read("leased", "a") == {"item": "a"}  # payload untouched
-    assert not backend.touch("leased", "missing")
-    assert backend.mtime("leased", "missing") is None
-
-
-def test_kv_tolerates_undecodable_blobs(store):
-    backend = KVQueueBackend(store)
-    store.put("queue/pending/bad.json", b"\xff\xfe not json")
-    assert backend.read("pending", "bad") is None
-    assert backend.mtime("pending", "bad") is None
-    assert not backend.touch("pending", "bad")
-
-
-# -- registry and manifest resolution -----------------------------------------
-
-
-def test_registry_knows_both_builtin_backends(tmp_path):
-    names = queue_backend_names()
-    assert "filesystem" in names and "kv" in names
-    fs = resolve_queue_backend("filesystem", str(tmp_path))
-    kv = resolve_queue_backend("kv", str(tmp_path))
-    assert isinstance(fs, FilesystemQueueBackend)
-    assert isinstance(kv, KVQueueBackend)
-    assert fs.name == "filesystem" and kv.name == "kv"
-
-
-def test_resolve_rejects_unknown_names_and_types(tmp_path):
-    with pytest.raises(ValueError, match="unknown queue backend"):
-        resolve_queue_backend("etcd", str(tmp_path))
-    with pytest.raises(TypeError, match="backend must be"):
-        resolve_queue_backend(42, str(tmp_path))
-
-
-def test_register_queue_backend_round_trips(tmp_path):
-    calls = []
-
-    class Probe(FilesystemQueueBackend):
-        name = "probe"
-
-    def factory(run_dir):
-        calls.append(run_dir)
-        return Probe(run_dir)
-
-    register_queue_backend("probe", factory)
-    try:
-        backend = resolve_queue_backend("probe", str(tmp_path))
-        assert isinstance(backend, Probe)
-        assert calls == [str(tmp_path)]
-    finally:
-        from repro.cluster.backends import QUEUE_BACKENDS
-
-        QUEUE_BACKENDS.pop("probe", None)
+    def write(self, state, item_id, payload):
+        self.calls.append(("write", state, item_id))
+        super().write(state, item_id, payload)
 
 
 def test_instance_passes_through_resolution(tmp_path):
-    backend = KVQueueBackend(LocalDirBlobStore(str(tmp_path / "kv")))
+    backend = RecordingBackend(str(tmp_path))
     queue = JobQueue(str(tmp_path), backend=backend)
     assert queue.backend is backend
+    assert queue.enqueue("a", {"jobs": []})
+    item = queue.claim("w")
+    assert queue.complete(item.item_id)
+    assert ("write", "pending", "a") in backend.calls
+    assert ("move", "pending", "leased", "a") in backend.calls
+    assert ("move", "leased", "done", "a") in backend.calls
 
 
 def test_manifest_resolution_defaults_to_filesystem(tmp_path):
-    assert manifest_queue_backend(str(tmp_path)) == DEFAULT_QUEUE_BACKEND
-    queue = JobQueue(str(tmp_path))  # no manifest yet → historical protocol
+    queue = JobQueue(str(tmp_path))  # no manifest: the POSIX rename protocol
     assert isinstance(queue.backend, FilesystemQueueBackend)
+    assert queue.enqueue("a", {"jobs": []})
+    assert os.path.exists(tmp_path / "queue" / "pending" / "a.json")
 
 
-def test_manifest_records_and_resolves_the_kv_backend(grid, tmp_path):
+def _write_manifest(run_dir, **fields):
+    with open(os.path.join(run_dir, "manifest.json"), "w", encoding="utf-8") as f:
+        json.dump({"expected_keys": [], **fields}, f)
+
+
+def test_new_manifests_record_no_queue_backend(grid, tmp_path):
+    submit_spec(str(tmp_path), grid())
+    assert "queue_backend" not in read_manifest(str(tmp_path))
+
+
+def test_legacy_kv_run_directory_is_refused(grid, tmp_path):
     run_dir = str(tmp_path)
-    submission = submit_spec(run_dir, grid(), queue_backend="kv")
-    assert submission.enqueued
-    with open(os.path.join(run_dir, "manifest.json"), "r", encoding="utf-8") as f:
-        assert json.load(f)["queue_backend"] == "kv"
-    # A queue built from nothing but the run dir resolves the same backend,
-    # and the kv layout holds the items (no filesystem queue/ tree needed).
-    queue = JobQueue(run_dir)
-    assert isinstance(queue.backend, KVQueueBackend)
-    assert queue.counts()["pending"] == len(submission.enqueued)
-    assert os.path.isdir(os.path.join(run_dir, KV_DIRNAME))
+    _write_manifest(run_dir, queue_backend="kv")
+    with pytest.raises(ValueError, match="queue_backend"):
+        read_manifest(run_dir)
+    # A worker refuses instead of exiting as "drained" on an empty queue/,
+    # and a resubmission refuses instead of silently starting over.
+    with pytest.raises(ValueError, match="queue_backend"):
+        worker_loop(run_dir, worker_id="w0")
+    with pytest.raises(ValueError, match="queue_backend"):
+        submit_spec(run_dir, grid())
 
 
-# -- end to end: the kv backend drains to serial-identical results ------------
-
-
-def test_kv_backend_end_to_end_matches_serial(grid, tmp_path):
+def test_manifest_recording_the_filesystem_backend_keeps_working(grid, tmp_path):
     run_dir = str(tmp_path)
-    spec = grid()
-    submission = submit_spec(run_dir, spec, queue_backend="kv")
+    submission = submit_spec(run_dir, grid())
+    manifest = read_manifest(run_dir)
+    _write_manifest(run_dir, **{**manifest, "queue_backend": "filesystem"})
+    assert read_manifest(run_dir)["queue_backend"] == "filesystem"
     stats = worker_loop(run_dir, worker_id="w0")
     assert stats.items == len(submission.enqueued)
     assert JobQueue(run_dir).is_drained()
-    merge_shards(run_dir)
-    store = ResultStore(run_dir)
-    serial = run_sweep(grid(), executor=SerialExecutor())
-    assert all(store.get(key) == cell for key, cell in serial.items())

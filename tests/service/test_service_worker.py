@@ -9,14 +9,17 @@ single-run execution body.
 
 from __future__ import annotations
 
+import gc
 import json
 import os
 import pickle
+import weakref
 
 import pytest
 
-from repro import telemetry
-from repro.cluster import JobQueue
+from repro import faults, telemetry
+from repro.cluster import JobQueue, RetryPolicy
+from repro.cluster import worker as cluster_worker
 from repro.runtime import ResultStore, SerialExecutor, run_sweep
 from repro.service import (
     ServiceRegistry,
@@ -238,3 +241,99 @@ def test_cli_end_to_end(registry, grid, tmp_path, capsys):
     assert "tenant alice: clean" in capsys.readouterr().out
     assert service_main(["workers", service_dir]) == 0
     assert "w0" in capsys.readouterr().out  # beacon still fresh
+
+
+@pytest.fixture
+def no_fault_plan():
+    faults.clear()
+    yield
+    faults.clear()
+
+
+@pytest.mark.parametrize("caller_plan", [False, True], ids=["manifest", "caller"])
+def test_tenant_fault_plans_are_honoured_per_tenant(
+    registry, grid, no_fault_plan, caller_plan
+):
+    """A tenant's manifest plan poisons only that tenant; a plan the caller
+    installed wins over it and is what stays installed afterwards."""
+    policy = RetryPolicy(max_attempts=3, backoff_base=0.0, jitter=0.0)
+    poison = faults.FaultPlan(
+        [faults.FaultRule(seam="execute", kind="exception", times=None)]
+    )
+    installed = None
+    if caller_plan:
+        installed = faults.FaultPlan(
+            [faults.FaultRule(seam="execute", kind="exception", match="no-such-item")]
+        )
+        faults.install(installed)
+    registry.submit("alice", grid())
+    submission = registry.submit(
+        "poison", grid(rates=(0.02,)), retry=policy, fault_plan=poison
+    )
+    stats = service_worker_loop(registry.service_dir, worker_id="w0", seed=0)
+    assert faults.current() is installed
+
+    poisoned = stats.per_tenant["poison"]
+    items = len(submission.enqueued)
+    if caller_plan:
+        assert poisoned.failures == 0
+        assert registry.get("poison").state == "done"
+    else:
+        # Every item dead-letters after exactly max_attempts executions.
+        assert poisoned.failures == policy.max_attempts * items
+        assert poisoned.dead_lettered == items
+        assert registry.get("poison").state == "failed"
+        failed = JobQueue(registry.tenant_run_dir("poison")).failed_ids()
+        assert len(failed) == items
+    # The other tenant never ran under the poison plan.
+    assert stats.per_tenant["alice"].failures == 0
+    assert registry.get("alice").state == "done"
+    store = ResultStore(registry.tenant_run_dir("alice"))
+    solo = run_sweep(grid(), executor=SerialExecutor())
+    assert len(store) == len(solo)
+    assert all(store.get(key) == cell for key, cell in solo.items())
+
+
+def test_run_scoped_fault_budgets_bind_to_the_tenant(registry, grid, no_fault_plan):
+    once = faults.FaultPlan(
+        [faults.FaultRule(seam="execute", kind="exception", times=1, scope="run")]
+    )
+    registry.submit(
+        "flaky", grid(),
+        retry=RetryPolicy(max_attempts=3, backoff_base=0.0, jitter=0.0),
+        fault_plan=once,
+    )
+    stats = service_worker_loop(registry.service_dir, worker_id="w0")
+    assert stats.failures == 1
+    assert registry.get("flaky").state == "done"
+    budget_dir = os.path.join(registry.tenant_run_dir("flaky"), faults.BUDGET_DIRNAME)
+    assert os.listdir(budget_dir) == ["rule-0-slot-0"]
+
+
+def test_a_finalized_tenant_releases_its_context(registry, grid, monkeypatch):
+    """A resident worker drops a tenant's handle once the tenant leaves the
+    runnable set, and a resubmission loads the context afresh."""
+    alice = registry.submit("alice", grid(rates=(0.005,)), priority=4.0)
+    registry.submit("bob", grid(rates=(0.005, 0.01, 0.02, 0.03, 0.04)))
+    alice_keys = set(alice.expected_keys)
+    alice_context = []
+    released = []
+    real_execute = cluster_worker.execute_group
+
+    def watching(context, jobs, **kwargs):
+        is_alice = jobs[0].content_key in alice_keys
+        if is_alice and not alice_context:
+            alice_context.append(weakref.ref(context))
+        elif not is_alice and not released and registry.get("alice").state == "done":
+            gc.collect()
+            released.append(alice_context[0]() is None)
+            registry.submit("alice", grid(rates=(0.03,)), priority=4.0)
+        return real_execute(context, jobs, **kwargs)
+
+    monkeypatch.setattr(cluster_worker, "execute_group", watching)
+    stats = service_worker_loop(registry.service_dir, worker_id="w0", seed=0)
+    assert released == [True]
+    # alice, bob, and alice again after her resubmission.
+    assert stats.context_loads == 3
+    assert registry.get("alice").state == "done"
+    assert registry.get("bob").state == "done"
