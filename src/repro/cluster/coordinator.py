@@ -105,8 +105,11 @@ def blas_thread_env(count: int) -> Dict[str, str]:
     Each daemon would otherwise start a BLAS pool as wide as the host, so
     ``count`` of them oversubscribe the cores.  Instead every variable in
     :data:`BLAS_THREAD_VARS` is set to the daemons' share of the CPUs (at
-    least 1).  If this process's environment already sets any of them, the
-    user's choice wins: nothing is returned and the daemons inherit it.
+    least 1).  The share also sets each daemon's shard count: eval forwards
+    split every batch into as many shards as OpenBLAS has threads (see
+    :mod:`repro.nn.parallel`), so daemons at one thread run unsharded.  If
+    this process's environment already sets any of them, the user's choice
+    wins: nothing is returned and the daemons inherit it.
     """
     if any(name in os.environ for name in BLAS_THREAD_VARS):
         return {}

@@ -37,8 +37,10 @@ from typing import Iterator, List, Sequence, Tuple
 
 import numpy as np
 
+from repro import telemetry
 from repro.nn.losses import confidences
 from repro.nn.module import Module
+from repro.nn.parallel import sharded_forward
 from repro.quant.fixed_point import QuantizedWeights, decode_array
 from repro.quant.qat import swap_weights
 from repro.utils.markers import hot_path, no_pickle
@@ -95,21 +97,27 @@ def evaluate_on_plan(
     The exact accumulation of the historical
     ``model_error_and_confidence`` loop (same batch boundaries, same
     summation order, reference-swapping :func:`swap_weights`), run over the
-    hoisted batches of ``plan``.
+    hoisted batches of ``plan``.  Each forward goes through
+    :func:`repro.nn.parallel.sharded_forward`, bit-identical to
+    ``model(inputs)``; the largest shard count used is recorded as the
+    ``eval.shards`` gauge.
     """
     errors = 0
     total = 0
     confidence_sum = 0.0
+    shards = 1
     was_training = model.training
     model.eval()
     with swap_weights(model, weights):
         for inputs, labels in plan:
-            logits = model(inputs)
+            logits, used = sharded_forward(model, inputs)
+            shards = max(shards, used)
             predictions = logits.argmax(axis=1)
             errors += int((predictions != labels).sum())
             total += labels.shape[0]
             confidence_sum += float(confidences(logits).sum())
     model.train(was_training)
+    telemetry.get_recorder().gauge("eval.shards", shards)
     return errors / max(total, 1), confidence_sum / max(total, 1)
 
 

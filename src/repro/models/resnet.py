@@ -29,6 +29,8 @@ class ResidualBlock(Module):
     the identity.
     """
 
+    row_wise = True
+
     def __init__(
         self,
         in_channels: int,

@@ -15,6 +15,8 @@ __all__ = ["ReLU", "LeakyReLU", "Sigmoid", "Tanh", "Identity"]
 class ReLU(Module):
     """Rectified linear unit, ``max(0, x)``."""
 
+    row_wise = True
+
     def __init__(self) -> None:
         super().__init__()
         self._mask: Optional[np.ndarray] = None
@@ -39,6 +41,8 @@ class ReLU(Module):
 class LeakyReLU(Module):
     """Leaky ReLU with configurable negative slope."""
 
+    row_wise = True
+
     def __init__(self, negative_slope: float = 0.01):
         super().__init__()
         self.negative_slope = negative_slope
@@ -60,6 +64,8 @@ class LeakyReLU(Module):
 class Sigmoid(Module):
     """Logistic sigmoid."""
 
+    row_wise = True
+
     def __init__(self) -> None:
         super().__init__()
         self._output: Optional[np.ndarray] = None
@@ -80,6 +86,8 @@ class Sigmoid(Module):
 class Tanh(Module):
     """Hyperbolic tangent."""
 
+    row_wise = True
+
     def __init__(self) -> None:
         super().__init__()
         self._output: Optional[np.ndarray] = None
@@ -97,6 +105,8 @@ class Tanh(Module):
 
 class Identity(Module):
     """Pass-through layer (useful as a configurable no-op)."""
+
+    row_wise = True
 
     def forward(self, x: np.ndarray) -> np.ndarray:
         return np.asarray(x, dtype=np.float64)

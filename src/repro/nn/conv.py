@@ -232,6 +232,8 @@ class Conv2d(Module):
         Generator used for He initialization.
     """
 
+    row_wise = True
+
     def __init__(
         self,
         in_channels: int,

@@ -30,6 +30,8 @@ from typing import Dict, Iterator, List, Tuple
 
 import numpy as np
 
+from repro.nn import parallel
+
 __all__ = ["Parameter", "Module", "Sequential"]
 
 
@@ -69,6 +71,11 @@ class Parameter:
 
 class Module:
     """Base class for layers and models."""
+
+    #: Whether each output row depends only on the same input row, bit for
+    #: bit at any batch size (see :mod:`repro.nn.parallel`).  Read from the
+    #: class's own body only, so subclasses default to ``False``.
+    row_wise: bool = False
 
     def __init__(self) -> None:
         self._parameters: "OrderedDict[str, Parameter]" = OrderedDict()
@@ -186,7 +193,14 @@ class Module:
 
 
 class Sequential(Module):
-    """A module that chains sub-modules in order."""
+    """A module that chains sub-modules in order.
+
+    In eval mode, the first ``Sequential`` reached by a
+    :func:`repro.nn.parallel.sharded_forward` call runs its row-wise prefix
+    on batch shards in parallel; the output is bit-identical either way.
+    """
+
+    row_wise = True
 
     def __init__(self, *layers: Module):
         super().__init__()
@@ -202,7 +216,11 @@ class Sequential(Module):
         self.layers.append(layer)
 
     def forward(self, x: np.ndarray) -> np.ndarray:
-        for layer in self.layers:
+        layers: List[Module] = self.layers
+        shards = parallel.claim_shards()
+        if shards > 1 and not self.training:
+            x, layers = parallel.run_sharded_prefix(layers, x, shards)
+        for layer in layers:
             x = layer(x)
         return x
 

@@ -44,6 +44,8 @@ class GroupNorm(Module):
         ``1 + scale`` so the stored parameter can be clipped around zero.
     """
 
+    row_wise = True
+
     def __init__(
         self,
         num_groups: int,

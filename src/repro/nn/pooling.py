@@ -43,6 +43,8 @@ class MaxPool2d(Module):
     through the argmax.
     """
 
+    row_wise = True
+
     def __init__(self, kernel_size: int = 2):
         super().__init__()
         self.kernel_size = kernel_size
@@ -86,6 +88,8 @@ class MaxPool2d(Module):
 class AvgPool2d(Module):
     """Non-overlapping average pooling (``stride == kernel_size``)."""
 
+    row_wise = True
+
     def __init__(self, kernel_size: int = 2):
         super().__init__()
         self.kernel_size = kernel_size
@@ -111,6 +115,8 @@ class AvgPool2d(Module):
 
 class GlobalAvgPool2d(Module):
     """Average over all spatial positions, producing ``(N, C, 1, 1)``."""
+
+    row_wise = True
 
     def __init__(self) -> None:
         super().__init__()

@@ -3,10 +3,12 @@
 import numpy as np
 import pytest
 
+from repro import telemetry
 from repro.biterror import BitErrorField
-from repro.data import ArrayDataset
+from repro.data import ArrayDataset, synthetic_cifar10
 from repro.eval.fast_eval import BatchPlan, DeltaWeightPatcher, evaluate_on_plan
-from repro.models import MLP
+from repro.models import MLP, SimpleNet
+from repro.nn import parallel
 from repro.nn.losses import confidences
 from repro.quant import FixedPointQuantizer, rquant
 from repro.quant.qat import quantize_model, swap_weights
@@ -95,6 +97,32 @@ def test_evaluate_on_plan_restores_training_mode(setup):
     model.eval()
     evaluate_on_plan(model, weights, plan)
     assert not model.training
+
+
+def test_evaluate_on_plan_shards_conv_forwards_and_records_the_count(
+    setup, monkeypatch, tmp_path
+):
+    mlp, quantizer, quantized, blobs = setup
+    images = synthetic_cifar10(samples_per_class=3, image_size=8, num_classes=4)
+    conv = SimpleNet(num_classes=4, widths=(4, 8), rng=np.random.default_rng(0))
+    conv_weights = quantizer.dequantize(quantize_model(conv, quantizer))
+    mlp_weights = quantizer.dequantize(quantized)
+
+    def run(model, weights, dataset, blas_threads):
+        monkeypatch.setattr(parallel, "blas_threads", lambda: blas_threads)
+        monkeypatch.setattr(parallel, "MIN_SHARD_VALUES", 1)
+        sink = str(tmp_path / f"{type(model).__name__}-{blas_threads}")
+        with telemetry.recording(sink, name="t", echo=None) as recorder:
+            result = evaluate_on_plan(model, weights, BatchPlan(dataset, 5))
+            shards = recorder.metrics.snapshot()["gauges"]["eval.shards"]
+        return result, shards
+
+    serial, one = run(conv, conv_weights, images, 1)
+    sharded, three = run(conv, conv_weights, images, 3)
+    assert (one, three) == (1, 3)
+    assert sharded == serial  # equal, not merely close
+    # An MLP starts with Linear, so it never shards.
+    assert run(mlp, mlp_weights, blobs, 3)[1] == 1
 
 
 def test_empty_dataset_plan_evaluates_to_zero(setup):

@@ -2,8 +2,10 @@
 
 from __future__ import annotations
 
+import itertools
 import json
 import os
+import tracemalloc
 
 from repro import telemetry
 from repro.telemetry.record import NullRecorder, Recorder
@@ -34,10 +36,22 @@ def test_disabled_by_default_and_nothing_touches_disk(tmp_path, monkeypatch):
 
 def test_disabled_span_is_one_shared_singleton():
     # The no-allocation contract of @hot_path call sites: every span() call
-    # on the null recorder returns the *same* object.
+    # on the null recorder returns the *same* object, and metric calls such
+    # as evaluate_on_plan's per-call ``eval.shards`` gauge keep nothing.
     rec = telemetry.get_recorder()
     assert rec.span("a") is rec.span("b")
     assert rec.span("a").span_id is None
+    calls = itertools.repeat(None, 10_000)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        for _ in calls:
+            rec.gauge("eval.shards", 2)
+            rec.count("engine.cells", 1)
+        after = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert after == before
 
 
 def test_configure_disable_flips_the_switch(tmp_path):
