@@ -11,10 +11,11 @@ other change.  ``run``:
    temporary one by default; pass ``run_dir=`` to make the run resumable
    and joinable by workers on other hosts), skipping groups the
    directory's canonical store already answers;
-2. spawns local worker daemons (``python -m repro.cluster worker``) unless
-   live workers are already attached to the directory or
-   ``spawn_workers=False``, each with an equal share of the host's BLAS
-   threads (:func:`blas_thread_env`);
+2. forks local worker daemons, each running the ``repro.cluster worker``
+   command in the child (:func:`spawn_local_worker`), unless live workers
+   are already attached to the directory or ``spawn_workers=False``; each
+   daemon sets OpenBLAS to an equal share of the host's BLAS threads
+   (:func:`blas_thread_env`);
 3. polls: incrementally merges worker shards into the canonical store
    (idempotent, content keys dedupe), requeues expired leases so crashed
    workers' groups are retried, restarts dead local daemons within a
@@ -34,10 +35,13 @@ from __future__ import annotations
 
 import os
 import shutil
+import signal
 import subprocess
 import sys
 import tempfile
 import time
+import traceback
+import warnings
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from repro import faults as faults_module
@@ -55,6 +59,7 @@ from repro.cluster.merge import (
     quarantine_entry,
 )
 from repro.cluster.queue import DEFAULT_LEASE_TIMEOUT, JobQueue, RetryPolicy
+from repro.nn.blas import BLAS_THREAD_VARS, blas_share, set_blas_threads
 from repro.runtime.executors import GroupOutput, register_executor
 from repro.runtime.spec import EvalJob, SweepContext
 from repro.runtime.store import ResultStore
@@ -62,6 +67,7 @@ from repro.runtime.store import ResultStore
 __all__ = [
     "BLAS_THREAD_VARS",
     "ClusterExecutor",
+    "DaemonHandle",
     "blas_thread_env",
     "live_worker_ids",
     "spawn_local_worker",
@@ -90,31 +96,106 @@ def live_worker_ids(run_dir: str, ttl: float) -> List[str]:
     return sorted(live)
 
 
-#: The BLAS and OpenMP thread-count variables :func:`blas_thread_env` splits.
-BLAS_THREAD_VARS = (
-    "OPENBLAS_NUM_THREADS",
-    "OMP_NUM_THREADS",
-    "MKL_NUM_THREADS",
-    "BLIS_NUM_THREADS",
-)
-
-
 def blas_thread_env(count: int) -> Dict[str, str]:
     """The thread environment for ``count`` local daemons sharing this host.
 
-    Each daemon would otherwise start a BLAS pool as wide as the host, so
+    Each daemon would otherwise run a BLAS pool as wide as the host, so
     ``count`` of them oversubscribe the cores.  Instead every variable in
     :data:`BLAS_THREAD_VARS` is set to the daemons' share of the CPUs (at
-    least 1).  The share also sets each daemon's shard count: eval forwards
-    split every batch into as many shards as OpenBLAS has threads (see
-    :mod:`repro.nn.parallel`), so daemons at one thread run unsharded.  If
-    this process's environment already sets any of them, the user's choice
-    wins: nothing is returned and the daemons inherit it.
+    least 1, :func:`repro.nn.blas.blas_share`), and each forked daemon
+    applies the share to the OpenBLAS it inherited through
+    :func:`repro.nn.blas.set_blas_threads`.  The share also sets each
+    daemon's shard count: eval forwards split every batch into as many
+    shards as OpenBLAS has threads (see :mod:`repro.nn.parallel`), so
+    daemons at one thread run unsharded.  If this process's environment
+    already sets any of the variables, the user's choice wins: nothing is
+    returned and the daemons inherit it.
     """
-    if any(name in os.environ for name in BLAS_THREAD_VARS):
-        return {}
-    share = str(max(1, (os.cpu_count() or 1) // count))
-    return {name: share for name in BLAS_THREAD_VARS}
+    share = blas_share(count)
+    return {} if share is None else {name: str(share) for name in BLAS_THREAD_VARS}
+
+
+class DaemonHandle:
+    """A forked daemon, behind the part of ``subprocess.Popen`` callers use.
+
+    ``returncode`` is ``None`` while the daemon runs, then its exit code, or
+    ``-signal`` when a signal killed it.  As with ``Popen``, a daemon that
+    cannot be waited for (``ECHILD``: someone else reaped it) counts as
+    exited with code 0.
+    """
+
+    def __init__(self, pid: int, args: List[str]):
+        self.pid = pid
+        self.args = args
+        self.returncode: Optional[int] = None
+
+    def _reap(self, options: int) -> Optional[int]:
+        if self.returncode is None:
+            try:
+                pid, status = os.waitpid(self.pid, options)
+            except ChildProcessError:
+                self.returncode = 0
+            else:
+                if pid == self.pid:
+                    self.returncode = os.waitstatus_to_exitcode(status)
+        return self.returncode
+
+    def poll(self) -> Optional[int]:
+        return self._reap(os.WNOHANG)
+
+    def wait(self, timeout: Optional[float] = None) -> int:
+        if timeout is None:
+            return self._reap(0)
+        deadline = time.monotonic() + timeout
+        delay = 0.0005
+        while self.poll() is None:
+            remaining = deadline - time.monotonic()
+            if remaining <= 0:
+                raise subprocess.TimeoutExpired(self.args, timeout)
+            delay = min(delay * 2, remaining, 0.05)
+            time.sleep(delay)
+        return self.returncode
+
+    def send_signal(self, sig: int) -> None:
+        if self.poll() is None:
+            try:
+                os.kill(self.pid, sig)
+            except ProcessLookupError:
+                self.poll()  # it exited since the last poll: reap it
+
+    def terminate(self) -> None:
+        self.send_signal(signal.SIGTERM)
+
+    def kill(self) -> None:
+        self.send_signal(signal.SIGKILL)
+
+
+def _run_daemon(log_fd: int, argv: List[str], extra_env: Optional[Dict[str, str]]) -> int:
+    """The forked child's work: become a fresh worker daemon, run ``argv``."""
+    os.dup2(log_fd, 1)
+    os.dup2(log_fd, 2)
+    os.close(log_fd)
+    # New stream objects on the log: the inherited ones may be a test
+    # harness's capture files, and their locks may be held by a thread the
+    # child does not have.
+    sys.stdout = open(1, "a", buffering=1, closefd=False)
+    sys.stderr = open(2, "a", buffering=1, closefd=False, errors="backslashreplace")
+    try:
+        os.environ.update(extra_env or {})
+        signal.signal(signal.SIGTERM, signal.SIG_DFL)
+        signal.signal(signal.SIGINT, signal.default_int_handler)
+        # The environment and the manifest schedule the daemon's faults.
+        faults_module.install(None)
+        # OpenBLAS read its variables when the parent loaded it.
+        threads = os.environ.get("OPENBLAS_NUM_THREADS", "")
+        if threads.isdigit():
+            set_blas_threads(int(threads))
+        from repro.cluster import cli
+
+        return cli.main(argv)
+    finally:
+        sys.stdout.flush()
+        sys.stderr.flush()
 
 
 def spawn_local_worker(
@@ -122,45 +203,58 @@ def spawn_local_worker(
     worker_id: str,
     poll_interval: float = 0.05,
     extra_env: Optional[Dict[str, str]] = None,
-) -> subprocess.Popen:
-    """Start one local worker daemon subprocess against ``run_dir``.
+) -> DaemonHandle:
+    """Fork one local worker daemon against ``run_dir``.
 
-    The child gets this interpreter and this process's import path (so the
-    daemon finds ``repro`` regardless of how the parent was launched), and
-    logs to ``<run_dir>/workers/<worker_id>.log``.
+    The child runs ``python -m repro.cluster worker <run_dir> --id
+    <worker_id> --poll <poll_interval>`` in-process, with ``extra_env``
+    added to its environment, and logs to ``<run_dir>/workers/<worker_id>.log``.
+    It starts as an exec'd daemon would: stdout and stderr go to the log,
+    the default SIGTERM and SIGINT handlers are back, no fault plan and no
+    telemetry recorder of this process is installed, and OpenBLAS runs at
+    the environment's ``OPENBLAS_NUM_THREADS``.  Forking skips the daemon's
+    interpreter start and imports.  The child never returns: it exits with
+    the command's code, or 1 (the traceback in its log) on any exception.
+    Raises ``OSError`` when the fork is refused or unavailable.
     """
-    import repro
-
-    package_root = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
-    env = dict(os.environ)
-    existing = env.get("PYTHONPATH")
-    env["PYTHONPATH"] = (
-        package_root if not existing else package_root + os.pathsep + existing
-    )
-    if extra_env:
-        env.update(extra_env)
+    if not hasattr(os, "fork"):
+        raise OSError("os.fork is not available on this platform")
+    argv = ["worker", run_dir, "--id", worker_id, "--poll", str(poll_interval)]
     log_dir = os.path.join(run_dir, WORKERS_DIRNAME)
     os.makedirs(log_dir, exist_ok=True)
-    log = open(os.path.join(log_dir, f"{worker_id}.log"), "ab")
+    log_fd = os.open(
+        os.path.join(log_dir, f"{worker_id}.log"),
+        os.O_WRONLY | os.O_CREAT | os.O_APPEND,
+        0o644,
+    )
     try:
-        return subprocess.Popen(
-            [
-                sys.executable,
-                "-m",
-                "repro.cluster",
-                "worker",
-                run_dir,
-                "--id",
-                worker_id,
-                "--poll",
-                str(poll_interval),
-            ],
-            env=env,
-            stdout=log,
-            stderr=subprocess.STDOUT,
-        )
+        for stream in (sys.stdout, sys.stderr):
+            if stream is not None:
+                stream.flush()  # else the child would inherit the buffered text
+        with warnings.catch_warnings():
+            # Python 3.12+ warns that forking a multi-threaded process may
+            # deadlock the child.  This child takes none of the locks those
+            # threads may hold: OpenBLAS parks its pool around fork(), the
+            # import lock is held across it, the BLAS pin and telemetry reset
+            # theirs after it, and the child writes through new stream
+            # objects.  Other threads (idle shard pools) are not used.
+            warnings.filterwarnings(
+                "ignore",
+                message=r".*is multi-threaded, use of fork\(\) may lead to deadlocks",
+                category=DeprecationWarning,
+            )
+            pid = os.fork()
+        if pid == 0:  # the daemon: never return into the caller's stack
+            code = 1
+            try:
+                code = _run_daemon(log_fd, argv, extra_env)
+            except BaseException:
+                traceback.print_exc()
+            finally:
+                os._exit(code if isinstance(code, int) else 1)
     finally:
-        log.close()  # the child inherited the descriptor
+        os.close(log_fd)
+    return DaemonHandle(pid, argv)
 
 
 class ClusterExecutor:
@@ -282,7 +376,7 @@ class ClusterExecutor:
             tempfile.mkdtemp(prefix="repro-cluster-") if own_tmp else self.run_dir
         )
         rec = telemetry.get_recorder()
-        procs: List[subprocess.Popen] = []
+        procs: List[DaemonHandle] = []
         self.failure_report = None
         report = FailureReport()
         # Manual enter/exit rather than `with`: _run is a generator, and the
@@ -452,7 +546,7 @@ class ClusterExecutor:
 
     def _maybe_spawn(
         self, run_dir: str, num_items: int
-    ) -> Tuple[List[subprocess.Popen], Dict[str, str]]:
+    ) -> Tuple[List[DaemonHandle], Dict[str, str]]:
         """Start the local fleet; returns it and its thread environment."""
         if not self.spawn_workers:
             return [], {}
@@ -481,7 +575,7 @@ class ClusterExecutor:
     def _babysit(
         self,
         run_dir: str,
-        procs: List[subprocess.Popen],
+        procs: List[DaemonHandle],
         restarts_left: int,
         queue: JobQueue,
         thread_env: Dict[str, str],
@@ -516,7 +610,7 @@ class ClusterExecutor:
         self,
         run_dir: str,
         queue: JobQueue,
-        procs: List[subprocess.Popen],
+        procs: List[DaemonHandle],
         last_progress: float,
     ) -> bool:
         if any(proc.poll() is None for proc in procs):

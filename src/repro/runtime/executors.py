@@ -33,6 +33,7 @@ import numpy as np
 
 from repro import telemetry
 from repro.biterror.random_errors import iter_apply_fields_batch
+from repro.nn.blas import blas_share, set_blas_threads
 from repro.runtime.spec import CellResult, EvalJob, SweepContext
 from repro.utils.markers import hot_path
 from repro.utils.rng import new_rng
@@ -248,15 +249,19 @@ def _init_worker(
     context: SweepContext,
     chunk_size: Optional[int] = None,
     telemetry_config: Optional[telemetry.TelemetryConfig] = None,
+    workers: Optional[int] = None,
 ) -> None:
     global _WORKER_CONTEXT, _WORKER_CHUNK_SIZE
     _WORKER_CONTEXT = context
     _WORKER_CHUNK_SIZE = chunk_size
+    # The pool's workers share the host's BLAS threads, as cluster daemons
+    # do; each worker's eval forwards shard that many ways.
+    share = blas_share(workers) if workers else None
+    if share is not None:
+        set_blas_threads(share)
     if telemetry_config is not None:
-        # Each pool worker records into its own per-pid sink.  Configure
-        # unconditionally: under a fork start method the child inherits the
-        # parent's live recorder, whose sink (and span-id namespace) belongs
-        # to the parent process.
+        # Each pool worker records into its own per-pid sink (a forked
+        # worker starts with no recorder: see repro.telemetry.record).
         telemetry.configure(
             telemetry_config.run_dir,
             level=telemetry_config.level,
@@ -286,7 +291,9 @@ class ParallelExecutor:
     max_workers:
         Worker processes to use; defaults to the host CPU count.  A value of
         1 (or a single-group workload) short-circuits to the serial path
-        without creating a pool.
+        without creating a pool.  Each worker gets an equal share of the
+        host's BLAS threads unless a ``*_NUM_THREADS`` variable is set
+        (:func:`repro.nn.blas.blas_share`).
     start_method:
         Optional ``multiprocessing`` start method (``"fork"``/``"spawn"``);
         ``None`` uses the platform default.  Unknown names raise here, at
@@ -345,7 +352,7 @@ class ParallelExecutor:
                 max_workers=workers,
                 mp_context=mp_context,
                 initializer=_init_worker,
-                initargs=(context, self.chunk_size, telemetry_config),
+                initargs=(context, self.chunk_size, telemetry_config, workers),
             )
         except (ImportError, OSError, PermissionError):
             # No usable pool on this host (single-CPU CI runners, containers

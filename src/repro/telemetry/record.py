@@ -322,6 +322,22 @@ _RECORDER = _NULL
 _SWITCH_LOCK = threading.Lock()
 
 
+def _drop_inherited_recorder() -> None:
+    """In a forked child: forget the parent's recorder without closing it.
+
+    Its sink, metrics and span ids belong to the parent, and closing it
+    would append the parent's metrics snapshot to the parent's sink.  The
+    child records only once it configures a recorder of its own.
+    """
+    global _RECORDER, _SWITCH_LOCK
+    _RECORDER = _NULL
+    _SWITCH_LOCK = threading.Lock()
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_drop_inherited_recorder)
+
+
 def get_recorder():
     """The installed recorder (a :class:`NullRecorder` unless configured)."""
     return _RECORDER

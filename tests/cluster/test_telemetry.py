@@ -10,15 +10,18 @@ on the loser), never zero and never two from the same worker.
 from __future__ import annotations
 
 import json
+import os
 import time
 
 import pytest
 
 from repro import telemetry
-from repro.cluster import JobQueue, merge_shards, submit_spec, worker_loop
+from repro.cluster import ClusterExecutor, JobQueue, merge_shards, submit_spec, worker_loop
 from repro.cluster.cli import main as cluster_main, run_status
 from repro.cluster.queue import DONE, LEASED
+from repro.runtime import run_sweep
 from repro.telemetry.report import load_run_records, merged_run_metrics
+from repro.utils.serialization import read_jsonl
 
 
 @pytest.fixture(autouse=True)
@@ -148,3 +151,27 @@ def test_status_works_without_any_telemetry(grid, tmp_path, capsys):
     assert status["complete"] is True
     assert cluster_main(["status", run_dir]) == 0
     assert "leases:" not in capsys.readouterr().out
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="daemons are forks")
+def test_the_coordinator_sink_holds_no_daemon_record(grid, tmp_path):
+    """Forked daemons record into sinks of their own, never the coordinator's."""
+    run_dir, sinks = str(tmp_path / "run"), str(tmp_path / "sinks")
+    with telemetry.recording(sinks, name="coordinator", echo=None) as recorder:
+        recorder.count("coordinator.before_fork")  # metrics a child could flush
+        run_sweep(
+            grid(),
+            executor=ClusterExecutor(
+                run_dir=run_dir, max_workers=2, lease_timeout=10.0, poll_interval=0.01
+            ),
+        )
+    results = read_jsonl(os.path.join(run_dir, "results.jsonl"))
+    assert results and all(r["worker"].startswith("local-") for r in results)
+    records = load_run_records(sinks)
+    assert {r["sink"] for r in records} == {"coordinator"}
+    assert len([r for r in records if r["type"] == "metrics"]) == 1
+    assert not [r for r in records if r.get("name", "").startswith("worker.")]
+    worker_spans = [r for r in load_run_records(run_dir) if r.get("name") == "worker.item"]
+    assert {r["sink"] for r in worker_spans} == {
+        "worker-" + r["worker"] for r in results
+    }

@@ -68,11 +68,15 @@ CONV_MODELS = {
 
 @pytest.fixture
 def force_shards(monkeypatch):
-    """``force_shards(k)`` makes the forward see ``k`` BLAS threads."""
+    """``force_shards(k)`` makes the forward see ``k`` BLAS threads.
 
-    def force(k, min_values=1):
-        monkeypatch.setattr(parallel, "blas_threads", lambda: k)
-        monkeypatch.setattr(parallel, "MIN_SHARD_VALUES", min_values)
+    The patch lasts for the test, or for the block of the ``monkeypatch``
+    context passed as ``patch``.
+    """
+
+    def force(k, min_values=1, patch=monkeypatch):
+        patch.setattr(parallel, "blas_threads", lambda: k)
+        patch.setattr(parallel, "MIN_SHARD_VALUES", min_values)
 
     return force
 
@@ -299,11 +303,14 @@ def test_shard_count_cannot_change_results(force_shards, monkeypatch, tmp_path):
     for name in coordinator.BLAS_THREAD_VARS:
         monkeypatch.delenv(name, raising=False)
     monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")  # inherited by the daemons
-    force_shards(2)
     _, build = tiny_conv_spec()
     serial_dir, cluster_dir = str(tmp_path / "serial"), str(tmp_path / "cluster")
-    with telemetry.recording(serial_dir, name="serial", echo=None):
-        serial = run_sweep(build(), executor=SerialExecutor())
+    # Only the serial leg is forced: forked daemons inherit this process's
+    # patches, and they must shard as their BLAS thread count says.
+    with monkeypatch.context() as serial_leg:
+        force_shards(2, patch=serial_leg)
+        with telemetry.recording(serial_dir, name="serial", echo=None):
+            serial = run_sweep(build(), executor=SerialExecutor())
     with telemetry.recording(cluster_dir, name="coordinator", echo=None):
         clustered = run_sweep(
             build(),

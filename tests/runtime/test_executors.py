@@ -1,10 +1,13 @@
 """Tests for serial/parallel executors: equivalence, grouping, degradation."""
 
+import os
+
 import numpy as np
 import pytest
 
 from repro.biterror import ChipProfile, make_error_fields
 from repro.models import MLP
+from repro.nn.blas import BLAS_THREAD_VARS
 from repro.quant import FixedPointQuantizer, rquant
 from repro.quant.qat import quantize_model
 from repro.runtime import (
@@ -113,6 +116,21 @@ def test_executor_context_ships_once_per_worker(grid):
     results = run_sweep(spec, executor=RecordingPoolExecutor())
     assert len(shipped) == 1  # one context shipment for many groups
     assert results == run_sweep(grid(), executor=SerialExecutor())
+
+
+@pytest.mark.parametrize("user_threads", [None, "4"])
+def test_pool_workers_take_a_share_of_the_blas_threads(user_threads, monkeypatch):
+    """``cpu_count // workers`` each, unless the user set a thread count."""
+    for name in BLAS_THREAD_VARS:
+        monkeypatch.delenv(name, raising=False)
+    if user_threads is not None:
+        monkeypatch.setenv("OMP_NUM_THREADS", user_threads)
+    monkeypatch.setattr(os, "cpu_count", lambda: 6)
+    applied = []
+    monkeypatch.setattr(executors_module, "set_blas_threads", applied.append)
+    monkeypatch.setattr(executors_module, "_WORKER_CONTEXT", None)
+    executors_module._init_worker(None, workers=2)
+    assert applied == ([] if user_threads else [3])
 
 
 def test_invalid_start_method_raises_at_construction():

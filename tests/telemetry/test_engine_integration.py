@@ -2,14 +2,22 @@
 
 from __future__ import annotations
 
+import multiprocessing
 import os
 
 import numpy as np
+import pytest
 
 from repro import telemetry
 from repro.biterror import make_error_fields
 from repro.quant.qat import quantize_model
-from repro.runtime import ResultStore, SerialExecutor, SweepSpec, run_sweep
+from repro.runtime import (
+    ParallelExecutor,
+    ResultStore,
+    SerialExecutor,
+    SweepSpec,
+    run_sweep,
+)
 from repro.telemetry.report import load_run_records, merged_run_metrics
 
 
@@ -99,3 +107,21 @@ def test_trainer_epoch_spans_note_loss_and_lr(tmp_path):
     assert all(s["parent"] == train_spans[0]["span"] for s in epoch_spans)
     assert all("loss" in s and "lr" in s and "train_error" in s
                for s in epoch_spans)
+
+
+@pytest.mark.skipif(
+    "fork" not in multiprocessing.get_all_start_methods(), reason="no fork start method"
+)
+def test_forked_pool_workers_leave_the_parents_sink_alone(
+    blob_data, small_mlp, rquant8, tmp_path
+):
+    """A forked worker drops the recorder it inherits without closing it, so
+    the parent's metrics reach the parent's sink once, at the parent's close."""
+    with telemetry.recording(str(tmp_path), name="parent", echo=None):
+        run_sweep(
+            make_spec(blob_data, small_mlp, rquant8),
+            executor=ParallelExecutor(max_workers=2, start_method="fork"),
+        )
+    records = [r for r in load_run_records(str(tmp_path)) if r["sink"] == "parent"]
+    assert any(r["type"] == "event" and r["name"] == "parallel.pool" for r in records)
+    assert len([r for r in records if r["type"] == "metrics"]) == 1
