@@ -534,27 +534,6 @@ class JobQueue:
             return int(payload.get("fence") or 0)
         return None
 
-    def fences(self) -> Dict[str, int]:
-        """``{item_id: fence}`` over every item in every state.
-
-        The authoritative fence table at scan time: an item's current fence
-        lives in its state file (stamped by the latest claim).  Because
-        fences only ever increase, a scanned value is a valid *lower bound*
-        even if another claim lands right after — the merge guard exploits
-        this to cache the table and re-scan only when a record's fence looks
-        new (see :class:`repro.cluster.merge.FenceTable`).
-        """
-        table: Dict[str, int] = {}
-        for state in STATES:
-            for item_id in self._ids(state):
-                payload = self.backend.read(state, item_id)
-                if payload is None:
-                    # Item mid-move between list and read; its fence is
-                    # picked up from its new state next scan.
-                    continue
-                table[item_id] = int(payload.get("fence") or 0)
-        return table
-
     def pending_ids(self) -> List[str]:
         return self._ids(PENDING)
 

@@ -44,9 +44,8 @@ import socket
 import threading
 import time
 import traceback
-from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Iterator, List, Optional
+from typing import List, Optional
 
 from repro import faults, telemetry
 from repro.cluster.broker import (
@@ -62,7 +61,7 @@ from repro.cluster.queue import (
     WorkItem,
 )
 from repro.runtime.executors import execute_group
-from repro.runtime.spec import EvalJob
+from repro.runtime.spec import EvalJob, SweepContext
 from repro.runtime.store import job_metadata
 from repro.utils.rng import derived_seed, new_rng
 from repro.utils.serialization import append_jsonl, atomic_write_text, jsonl_line
@@ -70,8 +69,6 @@ from repro.utils.serialization import append_jsonl, atomic_write_text, jsonl_lin
 __all__ = [
     "WorkerStats",
     "RunHandle",
-    "WorkerSession",
-    "IdleBackoff",
     "touch_beacon",
     "execute_item",
     "worker_loop",
@@ -134,142 +131,39 @@ class _Heartbeat:
         self._thread.join()
 
 
+@dataclass
 class RunHandle:
-    """A worker's handles for one run directory.
+    """What :func:`execute_item` needs of the run a worker serves.
 
-    Holds the manifest's knobs (lease timeout, chunk size, checksums, retry
-    policy, telemetry flag, fault schedule), the run's :class:`JobQueue` and
-    the heartbeat interval.  The pickled context is the expensive part and
-    loads lazily — *having it loaded* is what "warm" means to the service
-    scheduler.  ``fault_plan`` starts as the manifest's schedule;
-    :meth:`WorkerSession.open` replaces it by the one the worker runs under.
+    :func:`worker_loop` builds it from the run's manifest (chunk size,
+    checksums, lease timeout, retry policy) after unpickling the
+    :class:`~repro.runtime.spec.SweepContext` once.
     """
 
-    def __init__(self, run_dir: str, lease_timeout: Optional[float] = None):
-        self.run_dir = os.path.abspath(run_dir)
-        manifest = read_manifest(self.run_dir) or {}
-        if lease_timeout is None:
-            lease_timeout = manifest.get("lease_timeout") or DEFAULT_LEASE_TIMEOUT
-        self.lease_timeout = float(lease_timeout)
-        chunk = manifest.get("chunk_size")
-        self.chunk_size = int(chunk) if chunk is not None else None
-        self.checksum = bool(manifest.get("checksums"))
-        self.telemetry = bool(manifest.get("telemetry"))
-        self.retry = RetryPolicy.from_manifest(manifest.get("retry"))
-        plan = manifest.get("faults")
-        self.fault_plan = faults.FaultPlan.from_json(plan) if plan else None
-        self.queue = JobQueue(
-            self.run_dir, lease_timeout=self.lease_timeout, retry=self.retry
-        )
-        self.heartbeat_interval = max(self.lease_timeout / 4.0, 0.05)
-        self._context = None
-
-    @property
-    def warm(self) -> bool:
-        return self._context is not None
-
-    def context(self):
-        if self._context is None:
-            with open(os.path.join(self.run_dir, CONTEXT_FILENAME), "rb") as handle:
-                self._context = pickle.load(handle)
-        return self._context
-
-    def shard_path(self, worker_id: str) -> str:
-        return os.path.join(
-            self.run_dir, SHARDS_DIRNAME, f"worker-{worker_id}.jsonl"
-        )
+    queue: JobQueue
+    context: SweepContext
+    shard_path: str
+    chunk_size: Optional[int]
+    checksum: bool
+    heartbeat_interval: float
 
 
-class WorkerSession:
-    """Owns a worker loop's telemetry recorder and fault schedules.
-
-    A run submitted while telemetry was enabled flags its manifest; a worker
-    that has no recorder of its own then records into ``sink_dir`` (one sink
-    per worker, named like its result shard).  A recorder the caller already
-    installed always wins — the coordinator's in-process fallback keeps
-    recording into *its* configured sink.
-
-    Fault schedules resolve per run with the precedence of telemetry
-    configuration: the plan installed when the session starts wins, then
-    :data:`repro.faults.FAULTS_ENV`, then the run manifest
-    (``manifest["faults"]``).  The legacy ``crash_after_claim`` hook appends
-    its SIGKILL-at-claim rule to whatever else is scheduled.  :meth:`armed`
-    installs a run's plan bound to that run's firing budgets and restores
-    the caller's plan afterwards, so a library call (the coordinator's
-    in-process fallback, tests) never leaves a chaos schedule armed.
-    """
-
-    def __init__(
-        self,
-        worker_id: str,
-        sink_dir: str,
-        crash_after_claim: Optional[int] = None,
-    ):
-        self.worker_id = worker_id
-        self.sink_dir = sink_dir
-        self.crash_after_claim = crash_after_claim
-        self.caller_plan = faults.current()
-        self._owns_recorder = False
-
-    def open(self, run_dir: str, lease_timeout: Optional[float] = None) -> RunHandle:
-        """A :class:`RunHandle` for ``run_dir``, with telemetry configured."""
-        run = RunHandle(run_dir, lease_timeout=lease_timeout)
-        if run.telemetry and not telemetry.enabled():
-            telemetry.configure(self.sink_dir, name=f"worker-{self.worker_id}")
-            self._owns_recorder = True
-        plan = self.caller_plan or faults.plan_from_env() or run.fault_plan
-        if self.crash_after_claim is not None:
-            crash = faults.crash_after_claim_plan(self.crash_after_claim)
-            if plan is None:
-                plan = crash
-            else:
-                plan = faults.FaultPlan(
-                    rules=list(plan.rules) + list(crash.rules), seed=plan.seed
-                )
-        run.fault_plan = plan
-        return run
-
-    @contextmanager
-    def armed(self, run: RunHandle) -> Iterator[None]:
-        """Install ``run``'s fault plan for the block, then the caller's."""
-        if run.fault_plan is not None:
-            # Run-scoped rules (scope="run") share their firing budget across
-            # the whole fleet through slot files under <run_dir>/faults/.
-            run.fault_plan.bind(os.path.join(run.run_dir, faults.BUDGET_DIRNAME))
-        faults.install(run.fault_plan)
-        try:
-            yield
-        finally:
-            faults.install(self.caller_plan)
-
-    def __enter__(self) -> "WorkerSession":
-        return self
-
-    def __exit__(self, *exc) -> None:
-        if self._owns_recorder:
-            telemetry.disable()  # flushes the final metrics snapshot
-        else:
-            telemetry.get_recorder().flush_metrics()
-
-
-class IdleBackoff:
+class _IdleBackoff:
     """Capped exponential idle-poll backoff with deterministic jitter.
 
     The ``n``-th consecutive empty poll sleeps
     ``min(poll_interval * 2**n, max_poll)`` scaled by a jitter in
-    ``[0.5, 1.5)`` drawn from a stream derived from ``tag`` and the worker
-    id through :mod:`repro.utils.rng`: an idle fleet polls ever more gently,
-    but any deferred (backing-off) item is revisited within ``max_poll``.
+    ``[0.5, 1.5)`` drawn from a stream derived from the worker id through
+    :mod:`repro.utils.rng`: an idle fleet polls ever more gently, but any
+    deferred (backing-off) item is revisited within ``max_poll``.
     """
 
-    def __init__(
-        self, poll_interval: float, max_poll: Optional[float], tag: str, worker_id: str
-    ):
+    def __init__(self, poll_interval: float, max_poll: Optional[float], worker_id: str):
         self.poll_interval = float(poll_interval)
         self.max_poll = (
             max(self.poll_interval, 2.0) if max_poll is None else float(max_poll)
         )
-        self._rng = new_rng(derived_seed(tag, worker_id))
+        self._rng = new_rng(derived_seed("worker-idle", worker_id))
         self._polls = 0
         self._since = time.monotonic()
 
@@ -286,6 +180,26 @@ class IdleBackoff:
         delay = min(self.poll_interval * 2.0 ** min(self._polls, 16), self.max_poll)
         time.sleep(delay * (0.5 + self._rng.random()))
         self._polls += 1
+
+
+def _fault_plan(
+    manifest: dict, crash_after_claim: Optional[int]
+) -> Optional[faults.FaultPlan]:
+    """The fault plan a worker runs under, or ``None``.
+
+    An installed plan wins, then :data:`repro.faults.FAULTS_ENV`, then the
+    run manifest (``manifest["faults"]``).  The legacy ``crash_after_claim``
+    hook appends its SIGKILL-at-claim rule to whatever else is scheduled.
+    """
+    plan = faults.current() or faults.plan_from_env()
+    if plan is None and manifest.get("faults"):
+        plan = faults.FaultPlan.from_json(manifest["faults"])
+    if crash_after_claim is None:
+        return plan
+    crash = faults.crash_after_claim_plan(crash_after_claim)
+    if plan is None:
+        return crash
+    return faults.FaultPlan(rules=list(plan.rules) + list(crash.rules), seed=plan.seed)
 
 
 def touch_beacon(directory: str, worker_id: str) -> None:
@@ -323,9 +237,9 @@ def worker_loop(
         participant agrees on what "abandoned" means.
     poll_interval:
         Initial sleep between claim attempts while the queue is empty.
-        Consecutive empty polls back off exponentially (see
-        :class:`IdleBackoff`) up to ``max_poll``, so an idle fleet doesn't
-        hammer a shared filesystem; any claimed item resets the backoff.
+        Consecutive empty polls back off exponentially, with seeded jitter,
+        up to ``max_poll``, so an idle fleet doesn't hammer a shared
+        filesystem; any claimed item resets the backoff.
     max_poll:
         Idle-sleep ceiling (default: ``max(poll_interval, 2.0)`` seconds).
     max_idle:
@@ -350,42 +264,82 @@ def worker_loop(
     run_dir = os.path.abspath(run_dir)
     worker_id = worker_id or default_worker_id()
     stats = WorkerStats(worker_id=worker_id)
-    with WorkerSession(worker_id, run_dir, crash_after_claim) as session:
-        run = session.open(run_dir, lease_timeout=lease_timeout)
-        with session.armed(run):
-            rec = telemetry.get_recorder()
-            # The part of a daemon's cold start after its imports and queue
-            # set-up: the context unpickle.
-            with rec.span("worker.startup", worker=worker_id):
-                run.context()
-            beacons = os.path.join(run_dir, WORKERS_DIRNAME)
-            idle = IdleBackoff(poll_interval, max_poll, "worker-idle", worker_id)
-            rec.event("worker.start", worker=worker_id, run_dir=run_dir)
-            try:
-                while True:
-                    touch_beacon(beacons, worker_id)
-                    requeued = len(run.queue.requeue_expired())
-                    if requeued:
-                        stats.requeued += requeued
-                        rec.count("worker.requeued", requeued)
-                    item = run.queue.claim(worker_id)
-                    if item is None:
-                        if exit_when_drained and run.queue.is_drained():
-                            return stats
-                        if idle.expired(max_idle):
-                            return stats
-                        idle.sleep()
-                        continue
-                    idle.reset()
-                    execute_item(run, item, worker_id, stats)
-                    if max_items is not None and stats.items >= max_items:
+    manifest = read_manifest(run_dir) or {}
+    if lease_timeout is None:
+        lease_timeout = manifest.get("lease_timeout") or DEFAULT_LEASE_TIMEOUT
+    queue = JobQueue(
+        run_dir, lease_timeout=float(lease_timeout),
+        retry=RetryPolicy.from_manifest(manifest.get("retry")),
+    )
+    # A run submitted while telemetry was enabled flags its manifest; a
+    # worker with no recorder of its own then records into the run dir (one
+    # sink per worker, named like its result shard).  A recorder the caller
+    # installed wins: the coordinator's in-process fallback keeps recording
+    # into its own sink.
+    owns_recorder = bool(manifest.get("telemetry")) and not telemetry.enabled()
+    if owns_recorder:
+        telemetry.configure(run_dir, name=f"worker-{worker_id}")
+    caller_plan = faults.current()
+    plan = _fault_plan(manifest, crash_after_claim)
+    if plan is not None:
+        # Run-scoped rules (scope="run") share their firing budget across
+        # the whole fleet through slot files under <run_dir>/faults/.
+        plan.bind(os.path.join(run_dir, faults.BUDGET_DIRNAME))
+    faults.install(plan)
+    rec = telemetry.get_recorder()
+    try:
+        # The part of a daemon's cold start after its imports and queue
+        # set-up: the context unpickle.
+        with rec.span("worker.startup", worker=worker_id):
+            with open(os.path.join(run_dir, CONTEXT_FILENAME), "rb") as handle:
+                context = pickle.load(handle)
+        chunk = manifest.get("chunk_size")
+        run = RunHandle(
+            queue=queue,
+            context=context,
+            shard_path=os.path.join(
+                run_dir, SHARDS_DIRNAME, f"worker-{worker_id}.jsonl"
+            ),
+            chunk_size=int(chunk) if chunk is not None else None,
+            checksum=bool(manifest.get("checksums")),
+            heartbeat_interval=max(float(lease_timeout) / 4.0, 0.05),
+        )
+        beacons = os.path.join(run_dir, WORKERS_DIRNAME)
+        idle = _IdleBackoff(poll_interval, max_poll, worker_id)
+        rec.event("worker.start", worker=worker_id, run_dir=run_dir)
+        try:
+            while True:
+                touch_beacon(beacons, worker_id)
+                requeued = len(queue.requeue_expired())
+                if requeued:
+                    stats.requeued += requeued
+                    rec.count("worker.requeued", requeued)
+                item = queue.claim(worker_id)
+                if item is None:
+                    if exit_when_drained and queue.is_drained():
                         return stats
-            finally:
-                rec.event(
-                    "worker.exit", worker=worker_id, items=stats.items,
-                    cells=stats.cells, lost_leases=stats.lost_leases,
-                    failures=stats.failures,
-                )
+                    if idle.expired(max_idle):
+                        return stats
+                    idle.sleep()
+                    continue
+                idle.reset()
+                execute_item(run, item, worker_id, stats)
+                if max_items is not None and stats.items >= max_items:
+                    return stats
+        finally:
+            rec.event(
+                "worker.exit", worker=worker_id, items=stats.items,
+                cells=stats.cells, lost_leases=stats.lost_leases,
+                failures=stats.failures,
+            )
+    finally:
+        # A library call (the coordinator's in-process fallback, tests)
+        # never leaves a chaos schedule armed.
+        faults.install(caller_plan)
+        if owns_recorder:
+            telemetry.disable()  # flushes the final metrics snapshot
+        else:
+            rec.flush_metrics()
 
 
 def execute_item(
@@ -400,7 +354,7 @@ def execute_item(
     """
     rec = telemetry.get_recorder()
     queue = run.queue
-    shard_path = run.shard_path(worker_id)
+    shard_path = run.shard_path
     checksum = run.checksum
     jobs = [EvalJob.from_record(record) for record in item.payload["jobs"]]
     jobs_by_key = {job.content_key: job for job in jobs}
@@ -412,9 +366,7 @@ def execute_item(
             faults.fire("claim", item.item_id)
             with _Heartbeat(queue, item.item_id, run.heartbeat_interval):
                 faults.fire("execute", item.item_id)
-                output = execute_group(
-                    run.context(), jobs, chunk_size=run.chunk_size
-                )
+                output = execute_group(run.context, jobs, chunk_size=run.chunk_size)
             records = []
             for key, cell in output:
                 job = jobs_by_key.get(key)

@@ -17,8 +17,6 @@ seam           fires
 ``publish``    just before the group's records are appended to the shard
 ``complete``   after a durable publish, before the completion rename
 ``heartbeat``  in the background lease-refresh thread, before each beat
-``dispatch``   in the service worker, right after the fair-share pick
-``steal``      in the service worker, when a pick stole from a hog tenant
 =============  ==============================================================
 
 and a **kind**:
@@ -52,7 +50,7 @@ the rule and the visit number via :func:`repro.utils.rng.derived_seed`, so a
 given schedule makes identical decisions on every host and every rerun.
 With ``scope="run"`` the ``times`` budget is shared across the *fleet*
 instead: firings claim slot files under ``<run_dir>/faults/`` (bound via
-:meth:`FaultPlan.bind` by :class:`repro.cluster.worker.WorkerSession`) with
+:meth:`FaultPlan.bind` by :func:`repro.cluster.worker.worker_loop`) with
 ``O_CREAT|O_EXCL``, so ``times=1`` means once run-wide no matter how many
 worker processes carry the plan.  The per-process default is deliberate —
 poison rules ("tear the first publish of item X") must re-arm in every
@@ -62,9 +60,8 @@ Plans propagate exactly like telemetry configuration: a process-local
 install (:func:`install`), the :data:`FAULTS_ENV` environment variable, or
 the run manifest (``manifest["faults"]``, written by
 :func:`repro.cluster.broker.prepare_run_dir`) — in that precedence order,
-resolved per run by :class:`repro.cluster.worker.WorkerSession` so spawned
-worker daemons and service workers honor the same schedule as in-process
-callers.  This generalizes (and subsumes) the original single-purpose
+resolved by :func:`repro.cluster.worker.worker_loop` so spawned worker
+daemons honor the same schedule as in-process callers.  This generalizes (and subsumes) the original single-purpose
 :data:`~repro.cluster.worker.CRASH_AFTER_CLAIM_ENV` hook, which is now a
 one-rule plan (:func:`crash_after_claim_plan`).
 
@@ -100,7 +97,6 @@ __all__ = [
     "should_fill_disk",
     "clock_skew",
     "plan_from_env",
-    "install_from_env",
     "crash_after_claim_plan",
 ]
 
@@ -111,7 +107,7 @@ FAULTS_ENV = "REPRO_FAULT_SCHEDULE"
 #: Directory under a run dir where run-scoped rules claim firing slots.
 BUDGET_DIRNAME = "faults"
 
-SEAMS = ("claim", "execute", "publish", "complete", "heartbeat", "dispatch", "steal")
+SEAMS = ("claim", "execute", "publish", "complete", "heartbeat")
 KINDS = (
     "exception",
     "stall",
@@ -243,8 +239,8 @@ class FaultPlan:
         """Bind run-scoped rules to a shared firing-budget directory.
 
         Workers bind the plan to ``<run_dir>/faults/`` before installing it
-        (:class:`repro.cluster.worker.WorkerSession`), so every process
-        serving one run shares one budget.  Returns ``self`` for chaining; binding
+        (:func:`repro.cluster.worker.worker_loop`), so every process serving
+        one run shares one budget.  Returns ``self`` for chaining; binding
         an already-bound plan to the same directory is a no-op.
         """
         self._budget_dir = os.path.abspath(budget_dir)
@@ -468,16 +464,6 @@ def plan_from_env() -> Optional[FaultPlan]:
     if not raw:
         return None
     return FaultPlan.from_json(json.loads(raw))
-
-
-def install_from_env() -> Optional[FaultPlan]:
-    """Install the env-var plan unless one is already installed."""
-    if _PLAN is not None:
-        return _PLAN
-    plan = plan_from_env()
-    if plan is not None:
-        install(plan)
-    return plan
 
 
 def crash_after_claim_plan(nth: int) -> FaultPlan:

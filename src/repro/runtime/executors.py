@@ -269,9 +269,11 @@ def _init_worker(
         )
     # Pool workers honor an env-propagated chaos schedule (repro.faults),
     # so fault-injection tests can kill or poison a worker deterministically.
+    # A plan the parent installed is replaced, not inherited, so a forked
+    # pool runs under the same schedule as a spawned one.
     from repro import faults
 
-    faults.install_from_env()
+    faults.install(faults.plan_from_env())
 
 
 def _run_group_in_worker(group: Sequence[EvalJob]) -> GroupOutput:

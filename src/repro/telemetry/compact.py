@@ -1,11 +1,10 @@
 """Compact a run directory's telemetry: many dead sinks → one summary sink.
 
-Long-lived run directories (and service directories, where every resident
-worker leaves one sink per attachment) accumulate per-writer JSONL sinks
-that are mostly redundant once their writers exit: the counters are
-cumulative snapshots, the info-level events have served their tailing
-purpose, and only the warnings/errors and the aggregate numbers retain
-diagnostic value.
+Long-lived run directories (every worker that attaches leaves one sink)
+accumulate per-writer JSONL sinks that are mostly redundant once their
+writers exit: the counters are cumulative snapshots, the info-level events
+have served their tailing purpose, and only the warnings/errors and the
+aggregate numbers retain diagnostic value.
 
 :func:`compact_run_telemetry` folds every quiescent sink into a single
 ``compacted-<k>.jsonl`` holding, in timestamp order:

@@ -222,6 +222,60 @@ def test_seeded_chaos_schedule_preserves_the_core_invariant(grid, tmp_path):
     _assert_survivors_exact(rerun_dir, serial, poison_keys)
 
 
+@pytest.mark.parametrize("caller_plan", [False, True], ids=["manifest", "caller"])
+def test_an_installed_plan_wins_over_the_manifest_and_stays_installed(
+    grid, tmp_path, monkeypatch, caller_plan
+):
+    """The manifest's poison plan runs only when the caller installed none;
+    either way the caller's plan is what stays installed afterwards."""
+    monkeypatch.delenv(faults.FAULTS_ENV, raising=False)
+    run_dir = str(tmp_path)
+    poison = FaultPlan([FaultRule(seam="execute", kind="exception", times=None)])
+    installed = None
+    if caller_plan:
+        installed = FaultPlan(
+            [FaultRule(seam="execute", kind="exception", match="no-such-item")]
+        )
+        faults.install(installed)
+    submission = submit_spec(run_dir, grid(), retry=NO_BACKOFF, fault_plan=poison)
+    items = len(submission.enqueued)
+
+    stats = worker_loop(run_dir, worker_id="w0", poll_interval=0.01)
+    assert faults.current() is installed
+    queue = JobQueue(run_dir)
+    assert queue.is_drained()
+    if caller_plan:
+        assert stats.failures == 0 and stats.items == items
+        serial = run_sweep(grid(), executor=SerialExecutor())
+        _assert_survivors_exact(run_dir, serial, poison_keys=set())
+    else:
+        # Every item dead-letters after exactly max_attempts executions.
+        assert stats.failures == NO_BACKOFF.max_attempts * items
+        assert stats.dead_lettered == items
+        assert len(queue.failed_ids()) == items
+
+
+def test_a_run_scoped_rule_fires_once_across_worker_loops(grid, tmp_path):
+    """``scope="run", times=1`` is one firing per run, not per worker: two
+    workers each load the manifest plan afresh, yet only one execution
+    fails, and its one firing slot is the only file under ``faults/``."""
+    run_dir = str(tmp_path)
+    once = FaultPlan(
+        [FaultRule(seam="execute", kind="exception", times=1, scope="run")]
+    )
+    submit_spec(run_dir, grid(), retry=NO_BACKOFF, fault_plan=once)
+
+    first = worker_loop(run_dir, worker_id="w0", poll_interval=0.01, max_items=1)
+    second = worker_loop(run_dir, worker_id="w1", poll_interval=0.01)
+    assert first.failures + second.failures == 1
+    assert first.dead_lettered + second.dead_lettered == 0
+    assert JobQueue(run_dir).is_drained()
+    budget_dir = os.path.join(run_dir, faults.BUDGET_DIRNAME)
+    assert os.listdir(budget_dir) == ["rule-0-slot-0"]
+    serial = run_sweep(grid(), executor=SerialExecutor())
+    _assert_survivors_exact(run_dir, serial, poison_keys=set())
+
+
 def _spawn_worker_with_env(run_dir, worker_id, extra_env):
     import repro
 

@@ -136,12 +136,15 @@ def test_install_precedence(monkeypatch):
     faults.fire("execute", "x")  # no plan: free no-op
     assert not faults.should_tear("publish", "x")
 
+    # Installing replaces: a process that resolves its own schedule (a pool
+    # worker installing the environment's plan) drops one it inherited.
+    inherited = FaultPlan([FaultRule(seam="publish", kind="exception")])
+    faults.install(inherited)
     env_plan = FaultPlan([FaultRule(seam="execute", kind="exception")])
     monkeypatch.setenv(FAULTS_ENV, env_plan.to_env()[FAULTS_ENV])
-    installed = faults.install_from_env()
-    assert installed is not None and faults.current() is installed
-    # An already-installed plan wins over the environment.
-    assert faults.install_from_env() is installed
+    faults.install(faults.plan_from_env())
+    assert faults.current() is not None and faults.current() is not inherited
+    faults.fire("publish", "x")
     with pytest.raises(InjectedFault):
         faults.fire("execute", "x")
     faults.clear()

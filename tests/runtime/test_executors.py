@@ -1,5 +1,6 @@
 """Tests for serial/parallel executors: equivalence, grouping, degradation."""
 
+import multiprocessing
 import os
 
 import numpy as np
@@ -77,16 +78,12 @@ def test_single_worker_short_circuits_without_a_pool(grid, monkeypatch):
     def forbid_pool(*args, **kwargs):  # pragma: no cover - would fail the test
         raise AssertionError("a pool must not be created for max_workers=1")
 
-    import multiprocessing
-
     monkeypatch.setattr(multiprocessing, "get_context", forbid_pool)
     results = run_sweep(grid(), executor=ParallelExecutor(max_workers=1))
     assert results == run_sweep(grid(), executor=SerialExecutor())
 
 
 def test_unavailable_pool_degrades_to_serial(grid, monkeypatch):
-    import multiprocessing
-
     def broken_context(*args, **kwargs):
         raise OSError("no POSIX semaphores on this host")
 
@@ -138,6 +135,28 @@ def test_invalid_start_method_raises_at_construction():
         ParallelExecutor(max_workers=2, start_method="forkserve")  # typo
 
 
+@pytest.mark.parametrize("start_method", ["fork", "spawn"])
+def test_a_parent_installed_fault_plan_stays_out_of_pool_workers(grid, start_method):
+    """Pool workers run under the environment's schedule only, whatever the
+    start method: a forked worker must not keep a plan the parent installed
+    (a spawned one never sees it), so the same sweep has the same outcome."""
+    from repro import faults
+    from repro.faults import FAULTS_ENV, FaultPlan, FaultRule
+
+    if start_method not in multiprocessing.get_all_start_methods():
+        pytest.skip(f"no {start_method!r} start method on this platform")
+    assert FAULTS_ENV not in os.environ
+    poison = FaultPlan([FaultRule(seam="execute", kind="exception", times=None)])
+    faults.install(poison)
+    try:
+        executor = ParallelExecutor(max_workers=2, start_method=start_method)
+        results = run_sweep(grid(), executor=executor)
+        assert faults.current() is poison  # the parent's own plan is untouched
+    finally:
+        faults.clear()
+    assert results == run_sweep(grid(), executor=SerialExecutor())
+
+
 @pytest.mark.parametrize("chunk_size", [1, 2, 3])
 def test_chunked_injection_is_result_identical(grid, chunk_size):
     reference = run_sweep(grid(), executor=SerialExecutor())
@@ -146,8 +165,6 @@ def test_chunked_injection_is_result_identical(grid, chunk_size):
 
 
 def test_chunk_size_threads_through_parallel_degradation(grid, monkeypatch):
-    import multiprocessing
-
     def broken_context(*args, **kwargs):
         raise OSError("no POSIX semaphores on this host")
 

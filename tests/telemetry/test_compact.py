@@ -20,7 +20,7 @@ from repro.telemetry.report import (
 )
 
 
-def make_service_like_run(tmp_path, sinks=3):
+def make_multi_worker_run(tmp_path, sinks=3):
     """N worker-shaped sinks with counters, spans, and mixed-level events."""
     run_dir = str(tmp_path)
     for index in range(sinks):
@@ -44,7 +44,7 @@ def sink_names(run_dir):
 
 
 def test_compact_folds_sinks_and_preserves_merged_metrics(tmp_path):
-    run_dir = make_service_like_run(tmp_path, sinks=3)
+    run_dir = make_multi_worker_run(tmp_path, sinks=3)
     before = merged_run_metrics(run_dir)
     assert before["counters"]["worker.items"] == 3
 
@@ -60,7 +60,7 @@ def test_compact_folds_sinks_and_preserves_merged_metrics(tmp_path):
 
 
 def test_compact_keeps_warnings_and_drops_info_events(tmp_path):
-    run_dir = make_service_like_run(tmp_path, sinks=3)
+    run_dir = make_multi_worker_run(tmp_path, sinks=3)
     stats = compact_run_telemetry(run_dir, min_age=0.0)
     assert stats.events_kept == 1  # the warning survived
     assert stats.events_dropped == 3  # the info-level worker.start events
@@ -80,14 +80,14 @@ def test_compact_keeps_warnings_and_drops_info_events(tmp_path):
 
 
 def test_compact_keep_level_debug_keeps_everything(tmp_path):
-    run_dir = make_service_like_run(tmp_path, sinks=2)
+    run_dir = make_multi_worker_run(tmp_path, sinks=2)
     stats = compact_run_telemetry(run_dir, keep_level="debug", min_age=0.0)
     assert stats.events_dropped == 0
     assert stats.events_kept == 3  # two starts + one warning
 
 
 def test_recompaction_converges_to_one_file(tmp_path):
-    run_dir = make_service_like_run(tmp_path, sinks=2)
+    run_dir = make_multi_worker_run(tmp_path, sinks=2)
     before = merged_run_metrics(run_dir)
     assert compact_run_telemetry(run_dir, min_age=0.0).changed
     # New sinks arrive after the first compaction...
@@ -103,7 +103,7 @@ def test_recompaction_converges_to_one_file(tmp_path):
 
 
 def test_live_sinks_are_skipped(tmp_path):
-    run_dir = make_service_like_run(tmp_path, sinks=2)
+    run_dir = make_multi_worker_run(tmp_path, sinks=2)
     # Everything was written moments ago: the default liveness guard holds.
     stats = compact_run_telemetry(run_dir, min_age=60.0)
     assert not stats.changed
@@ -124,7 +124,7 @@ def test_single_sink_and_missing_dir_are_noops(tmp_path):
 def test_report_still_renders_after_compaction(tmp_path):
     import io
 
-    run_dir = make_service_like_run(tmp_path, sinks=3)
+    run_dir = make_multi_worker_run(tmp_path, sinks=3)
     compact_run_telemetry(run_dir, min_age=0.0)
     stream = io.StringIO()
     assert render_report(run_dir, stream=stream) == 0
@@ -134,7 +134,7 @@ def test_report_still_renders_after_compaction(tmp_path):
 
 
 def test_compact_cli(tmp_path, capsys):
-    run_dir = make_service_like_run(tmp_path, sinks=2)
+    run_dir = make_multi_worker_run(tmp_path, sinks=2)
     assert main(["compact", run_dir, "--min-age", "0"]) == 0
     out = capsys.readouterr().out
     assert "compacted 2 sink(s)" in out
